@@ -6,12 +6,20 @@
  * throughput falls and ratio rises with level; lazy matching costs
  * time and buys ratio; inflate is several times faster than deflate.
  * These are the properties E1/E2's speedup math depends on.
+ *
+ * The per-record cases time one call on a 256 B, 1 KiB or 4 KiB text
+ * record, the sizes Session sends to the software codec (below its
+ * 4 KiB crossover), where fixed per-call cost (scratch set-up, block
+ * headers, decode-table builds) outweighs per-byte cost. The checksum
+ * kernels give CRC-32 and Adler-32 their own throughput figures.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "deflate/deflate_encoder.h"
 #include "deflate/inflate_decoder.h"
+#include "util/adler32.h"
+#include "util/crc32.h"
 #include "workloads/corpus.h"
 
 namespace {
@@ -92,6 +100,68 @@ BM_HuffmanOnly(benchmark::State &state)
         state.iterations() * static_cast<int64_t>(sample().size()));
 }
 BENCHMARK(BM_HuffmanOnly)->Unit(benchmark::kMillisecond);
+
+std::vector<uint8_t>
+record(const benchmark::State &state)
+{
+    return workloads::makeText(static_cast<size_t>(state.range(0)), 9902);
+}
+
+void
+BM_DeflateRecord(benchmark::State &state)
+{
+    auto rec = record(state);
+    deflate::DeflateOptions opts;
+    opts.level = 6;
+    for (auto _ : state) {
+        auto res = deflate::deflateCompress(rec, opts);
+        benchmark::DoNotOptimize(res.bytes.data());
+    }
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(rec.size()));
+}
+BENCHMARK(BM_DeflateRecord)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+void
+BM_InflateRecord(benchmark::State &state)
+{
+    auto rec = record(state);
+    auto stream = deflate::deflateCompress(rec).bytes;
+    uint64_t dynamic = 0;
+    for (auto _ : state) {
+        auto res = deflate::inflateDecompress(stream);
+        dynamic = res.stats.dynamicBlocks;
+        benchmark::DoNotOptimize(res.bytes.data());
+    }
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(rec.size()));
+    state.counters["dynamic_blocks"] = static_cast<double>(dynamic);
+}
+BENCHMARK(BM_InflateRecord)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    auto data = record(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(util::crc32(data));
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1 << 20);
+
+void
+BM_Adler32(benchmark::State &state)
+{
+    auto data = record(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(util::adler32(data));
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_Adler32)->Arg(4096)->Arg(1 << 20);
 
 } // namespace
 

@@ -7,7 +7,6 @@
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
 #include "deflate/zlib_stream.h"
-#include "util/adler32.h"
 #include "util/crc32.h"
 #include "util/checked.h"
 
@@ -211,11 +210,11 @@ SoftwareCodec::compress(std::span<const uint8_t> source,
         break;
       case nx::Framing::Gzip:
         out.data = deflate::gzipWrap(res.bytes, source);
-        out.csb.checksum = util::crc32(source);
+        out.csb.checksum = deflate::gzipTrailerCrc(out.data);
         break;
       case nx::Framing::Zlib:
         out.data = deflate::zlibWrap(res.bytes, source);
-        out.csb.checksum = util::adler32(source);
+        out.csb.checksum = deflate::zlibTrailerAdler(out.data);
         break;
     }
     out.seconds = secondsSince(t0);

@@ -2,6 +2,7 @@
 
 #include "util/crc32.h"
 #include "util/checked.h"
+#include "util/contracts.h"
 #include "util/taint.h"
 
 namespace deflate {
@@ -12,6 +13,16 @@ constexpr uint8_t kId2 = 0x8b;
 constexpr uint8_t kCmDeflate = 8;
 constexpr uint8_t kFlagName = 0x08;
 constexpr uint8_t kOsUnix = 3;
+
+/** Little-endian 32-bit field at @p p. */
+uint32_t
+readLe32(std::span<const uint8_t> bytes, size_t p)
+{
+    return nx::checked_cast<uint32_t>(bytes[p]) |
+        (nx::checked_cast<uint32_t>(bytes[p + 1]) << 8) |
+        (nx::checked_cast<uint32_t>(bytes[p + 2]) << 16) |
+        (nx::checked_cast<uint32_t>(bytes[p + 3]) << 24);
+}
 } // namespace
 
 std::vector<uint8_t>
@@ -81,6 +92,13 @@ gzipWrapEx(std::span<const uint8_t> deflate_stream,
     for (int i = 0; i < 4; ++i)
         out.push_back(nx::checked_cast<uint8_t>((isize >> (8 * i)) & 0xff));
     return out;
+}
+
+uint32_t
+gzipTrailerCrc(std::span<const uint8_t> member)
+{
+    NXSIM_EXPECT(member.size() >= 18, "a whole gzip member");
+    return readLe32(member, member.size() - 8);
 }
 
 GzipUnwrapResult
@@ -170,15 +188,9 @@ gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member)
         res.error = "trailer overlaps payload";
         return res;
     }
-    auto rd32 = [&](size_t p) {
-        return nx::checked_cast<uint32_t>(member[p]) |
-            (nx::checked_cast<uint32_t>(member[p + 1]) << 8) |
-            (nx::checked_cast<uint32_t>(member[p + 2]) << 16) |
-            (nx::checked_cast<uint32_t>(member[p + 3]) << 24);
-    };
-    uint32_t crc = rd32(tpos);
-    uint32_t isize = rd32(tpos + 4);
-    if (crc != util::crc32(res.inflate.bytes)) {
+    res.crc = readLe32(member, tpos);
+    uint32_t isize = readLe32(member, tpos + 4);
+    if (res.crc != util::crc32(res.inflate.bytes)) {
         res.error = "CRC mismatch";
         return res;
     }

@@ -53,6 +53,12 @@ std::vector<uint8_t> gzipWrapEx(std::span<const uint8_t> deflate_stream,
                                 std::span<const uint8_t> original,
                                 const GzipWriteOptions &opts);
 
+/**
+ * The CRC-32 field of the trailer that ends @p member, a whole member
+ * as gzipWrap() returns it: the wrap's checksum without recomputing it.
+ */
+uint32_t gzipTrailerCrc(std::span<const uint8_t> member);
+
 /** Result of unwrapping a gzip member. */
 struct GzipUnwrapResult
 {
@@ -60,6 +66,8 @@ struct GzipUnwrapResult
     std::string error;
     GzipHeader header;
     InflateResult inflate;
+    /** Trailer CRC-32; when ok, verified equal to crc32(inflate.bytes). */
+    uint32_t crc = 0;
     /** Total bytes of this member (header + payload + trailer). */
     size_t memberBytes = 0;
 };

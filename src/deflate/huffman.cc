@@ -237,28 +237,32 @@ HuffmanCode::fixedDist()
 bool
 HuffmanDecodeTable::init(std::span<const uint8_t> lengths, int max_bits)
 {
-    maxBits_ = max_bits;
-    const auto maxBits = static_cast<size_t>(max_bits);
-    table_.assign(size_t{1} << maxBits, Entry{});
+    NXSIM_EXPECT(max_bits >= 1 && max_bits <= kMaxBits,
+                 "decode tables hold codes of 1..15 bits");
+    // Until the checks below pass, every window decodes as invalid.
+    root_.assign(1, Entry{});
+    longSymbols_.clear();
+    count_.fill(0);
+    longest_ = rootBits_ = 0;
+    rootMask_ = 0;
 
-    // Canonical codes, not reversed this time — we build the table by
-    // enumerating all suffix-extended windows of each code.
-    std::vector<int> blCount(maxBits + 1, 0);
+    const auto maxBits = static_cast<size_t>(max_bits);
     for (uint8_t l : lengths) {
         if (l > max_bits)
             return false;
-        ++blCount[l];
+        ++count_[l];
     }
-    blCount[0] = 0;
+    count_[0] = 0;
 
     // Kraft check: reject over-subscribed codes; allow incomplete codes
     // only in the degenerate 1-symbol case (common in dynamic headers).
     uint64_t kraft = 0;
-    int usedSymbols = 0;
+    uint64_t usedSymbols = 0;
     for (size_t bits = 1; bits <= maxBits; ++bits) {
-        kraft += static_cast<uint64_t>(blCount[bits])
-            << (maxBits - bits);
-        usedSymbols += blCount[bits];
+        kraft += static_cast<uint64_t>(count_[bits]) << (maxBits - bits);
+        usedSymbols += count_[bits];
+        if (count_[bits] != 0)
+            longest_ = nx::checked_cast<unsigned>(bits);
     }
     uint64_t budget = 1ull << maxBits;
     if (kraft > budget)
@@ -268,27 +272,62 @@ HuffmanDecodeTable::init(std::span<const uint8_t> lengths, int max_bits)
     if (usedSymbols == 0)
         return false;
 
-    std::vector<uint32_t> nextCode(maxBits + 2, 0);
+    // First canonical code of each length (RFC 1951 3.2.2), and where
+    // each length's long-coded symbols start in longSymbols_.
+    rootBits_ = std::min(longest_, nx::checked_cast<unsigned>(kRootBits));
+    rootMask_ = (1u << rootBits_) - 1;
     uint32_t code = 0;
-    for (size_t bits = 1; bits <= maxBits; ++bits) {
-        code = (code + nx::checked_cast<uint32_t>(blCount[bits - 1])) << 1;
-        nextCode[bits] = code;
+    uint16_t nlong = 0;
+    for (size_t bits = 1; bits <= longest_; ++bits) {
+        code = (code + count_[bits - 1]) << 1;
+        first_[bits] = nx::checked_cast<uint16_t>(code);
+        offset_[bits] = nlong;
+        if (bits > rootBits_)
+            nlong = nx::checked_cast<uint16_t>(nlong + count_[bits]);
     }
+    root_.assign(size_t{1} << rootBits_, Entry{});
+    longSymbols_.resize(nlong);
 
+    std::array<uint16_t, kMaxBits + 1> next = first_;
     for (size_t s = 0; s < lengths.size(); ++s) {
         uint8_t len = lengths[s];
         if (len == 0)
             continue;
-        uint32_t c = nextCode[len]++;
-        uint32_t reversed = util::reverseBits(c, len);
-        // Every window whose low `len` bits equal `reversed` maps to s.
-        uint32_t step = 1u << len;
-        for (uint32_t w = reversed; w < (1u << maxBits); w += step) {
-            table_[w].symbol = nx::checked_cast<int16_t>(s);
-            table_[w].length = len;
+        uint32_t c = next[len]++;
+        auto sym = nx::checked_cast<int16_t>(s);
+        if (len > rootBits_) {
+            // Mark the root slot of the code's first rootBits_ bits; the
+            // rank within its length is the symbol's code order.
+            root_[util::reverseBits(c >> (len - rootBits_), rootBits_)] =
+                Entry{-1, kLongCode};
+            longSymbols_[offset_[len] + c - first_[len]] = sym;
+            continue;
         }
+        // Every root window whose low `len` bits equal the reversed
+        // code maps to s.
+        uint32_t step = 1u << len;
+        for (uint32_t w = util::reverseBits(c, len); w <= rootMask_;
+             w += step)
+            root_[w] = Entry{sym, len};
     }
     return true;
+}
+
+HuffmanDecodeTable::Entry
+HuffmanDecodeTable::decodeLong(uint32_t window) const
+{
+    // The root lookup matched no code of up to rootBits_ bits, so no
+    // shorter code can match either: extend the MSB-first code one bit
+    // at a time and test it against each longer length's code range.
+    uint32_t code = util::reverseBits(window & rootMask_, rootBits_);
+    for (unsigned len = rootBits_ + 1; len <= longest_; ++len) {
+        code = (code << 1) | ((window >> (len - 1)) & 1);
+        uint32_t rank = code - first_[len];
+        if (rank < count_[len])
+            return Entry{longSymbols_[offset_[len] + rank],
+                         nx::checked_cast<uint8_t>(len)};
+    }
+    return Entry{};
 }
 
 } // namespace deflate

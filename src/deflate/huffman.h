@@ -7,8 +7,8 @@
  *    (Huffman tree via a heap, with zlib-style overflow fix-up to respect
  *    the 15-bit / 7-bit limits);
  *  - HuffmanCode: code lengths -> canonical codes ready for a BitWriter;
- *  - HuffmanDecodeTable: code lengths -> single-level lookup table for the
- *    inflater (peek kMaxBits, index, consume length).
+ *  - HuffmanDecodeTable: code lengths -> root lookup table sized to the
+ *    code (at most 2^10 entries) plus a canonical walk for longer codes.
  *
  * Both the software codec and the accelerator's Huffman stage use these.
  */
@@ -16,6 +16,7 @@
 #ifndef NXSIM_DEFLATE_HUFFMAN_H
 #define NXSIM_DEFLATE_HUFFMAN_H
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -89,20 +90,31 @@ class HuffmanCode
 };
 
 /**
- * Single-level decode table: peek kMaxBits bits, index, get (symbol, len).
+ * Canonical decoder sized to the code it holds, not to kMaxBits.
  *
- * 2^15 entries * 4 bytes = 128 KiB per table; fine for a simulator. The
- * accelerator model reports its own (smaller, two-level) table in the
- * area inventory; functional decode goes through this class.
+ * A root table of 2^rootBits entries, rootBits = min(longest code,
+ * kRootBits), resolves every code of up to rootBits bits in one lookup.
+ * The root entry under the first rootBits bits of a longer code is
+ * marked, and decode() finishes such codes with a canonical walk
+ * (puff's decode(), started at rootBits + 1) over the per-length code
+ * counts and the long-coded symbols in code order. Building therefore
+ * costs O(2^rootBits + symbols), at most 1024 entries * 4 bytes = 4 KiB,
+ * which keeps the two table builds of a dynamic block cheap next to
+ * decoding a small record. The accelerator model reports its own table
+ * in the area inventory; functional decode goes through this class.
  */
 class HuffmanDecodeTable
 {
   public:
+    /** Root width cap: codes up to this many bits decode in one lookup. */
+    static constexpr int kRootBits = 10;
+
     HuffmanDecodeTable() = default;
 
     /**
      * Build from code lengths.
-     * @return false if lengths are not a valid (sub-)Kraft code.
+     * @return false if lengths are not a valid (sub-)Kraft code; every
+     *         window then decodes as invalid.
      */
     bool init(std::span<const uint8_t> lengths, int max_bits = kMaxBits);
 
@@ -113,12 +125,13 @@ class HuffmanDecodeTable
     int
     decode(util::BitReader &br) const
     {
-        uint32_t window = br.peekBits(nx::checked_cast<unsigned>(maxBits_));
-        // nxtaint: allow(taint-index): peekBits(maxBits_) masks the
-        // window to maxBits_ bits and table_ holds 1 << maxBits_
-        // entries (see init), so the subscript is in range by
-        // construction.
-        Entry e = table_[window];
+        uint32_t window = br.peekBits(longest_);
+        // nxtaint: allow(taint-index): the window is masked to
+        // rootBits_ bits and root_ holds 1 << rootBits_ entries (see
+        // init), so the subscript is in range by construction.
+        Entry e = root_[window & rootMask_];
+        if (e.length == kLongCode) [[unlikely]]
+            e = decodeLong(window);
         if (e.length == 0)
             return -1;
         br.consumeBits(e.length);
@@ -127,17 +140,29 @@ class HuffmanDecodeTable
         return e.symbol;
     }
 
-    bool valid() const { return !table_.empty(); }
+    bool valid() const { return !root_.empty(); }
 
   private:
     struct Entry
     {
         int16_t symbol = -1;
-        uint8_t length = 0;
+        uint8_t length = 0;    ///< 0 = no code; kLongCode = walk on
     };
 
-    std::vector<Entry> table_;
-    int maxBits_ = 0;
+    /** Root entry length marking the first bits of a longer code. */
+    static constexpr uint8_t kLongCode = 0xff;
+
+    /** Finish a code longer than rootBits_ from the peeked window. */
+    Entry decodeLong(uint32_t window) const;
+
+    std::vector<Entry> root_;
+    std::vector<int16_t> longSymbols_;    ///< codes > rootBits_, in code order
+    std::array<uint32_t, kMaxBits + 1> count_{};    ///< codes per length
+    std::array<uint16_t, kMaxBits + 1> first_{};    ///< first code per length
+    std::array<uint16_t, kMaxBits + 1> offset_{};   ///< into longSymbols_
+    unsigned longest_ = 0;
+    unsigned rootBits_ = 0;
+    uint32_t rootMask_ = 0;
 };
 
 } // namespace deflate

@@ -5,8 +5,23 @@
 
 #include <algorithm>
 #include "util/checked.h"
+#include "util/contracts.h"
 
 namespace deflate {
+
+namespace {
+
+/** Big-endian 32-bit field at @p p (zlib stores DICTID and Adler so). */
+uint32_t
+readBe32(std::span<const uint8_t> bytes, size_t p)
+{
+    return (nx::checked_cast<uint32_t>(bytes[p]) << 24) |
+        (nx::checked_cast<uint32_t>(bytes[p + 1]) << 16) |
+        (nx::checked_cast<uint32_t>(bytes[p + 2]) << 8) |
+        nx::checked_cast<uint32_t>(bytes[p + 3]);
+}
+
+} // namespace
 
 std::vector<uint8_t>
 zlibWrap(std::span<const uint8_t> deflate_stream,
@@ -30,6 +45,13 @@ zlibWrap(std::span<const uint8_t> deflate_stream,
     for (int i = 3; i >= 0; --i)    // Adler is stored big-endian
         out.push_back(nx::checked_cast<uint8_t>((adler >> (8 * i)) & 0xff));
     return out;
+}
+
+uint32_t
+zlibTrailerAdler(std::span<const uint8_t> stream)
+{
+    NXSIM_EXPECT(stream.size() >= 6, "a whole zlib stream");
+    return readBe32(stream, stream.size() - 4);
 }
 
 ZlibUnwrapResult
@@ -66,11 +88,8 @@ zlibUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> stream)
         res.error = "trailer overlaps payload";
         return res;
     }
-    uint32_t adler = (nx::checked_cast<uint32_t>(stream[tpos]) << 24) |
-        (nx::checked_cast<uint32_t>(stream[tpos + 1]) << 16) |
-        (nx::checked_cast<uint32_t>(stream[tpos + 2]) << 8) |
-        nx::checked_cast<uint32_t>(stream[tpos + 3]);
-    if (adler != util::adler32(res.inflate.bytes)) {
+    res.adler = readBe32(stream, tpos);
+    if (res.adler != util::adler32(res.inflate.bytes)) {
         res.error = "Adler-32 mismatch";
         return res;
     }
@@ -129,10 +148,7 @@ zlibUnwrapWithDict(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
             res.error = "truncated DICTID";
             return res;
         }
-        uint32_t dictid = (nx::checked_cast<uint32_t>(stream[2]) << 24) |
-            (nx::checked_cast<uint32_t>(stream[3]) << 16) |
-            (nx::checked_cast<uint32_t>(stream[4]) << 8) |
-            nx::checked_cast<uint32_t>(stream[5]);
+        uint32_t dictid = readBe32(stream, 2);
         if (dict.empty()) {
             res.error = "dictionary required";
             return res;
@@ -157,11 +173,8 @@ zlibUnwrapWithDict(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
         res.error = "trailer overlaps payload";
         return res;
     }
-    uint32_t adler = (nx::checked_cast<uint32_t>(stream[tpos]) << 24) |
-        (nx::checked_cast<uint32_t>(stream[tpos + 1]) << 16) |
-        (nx::checked_cast<uint32_t>(stream[tpos + 2]) << 8) |
-        nx::checked_cast<uint32_t>(stream[tpos + 3]);
-    if (adler != util::adler32(res.inflate.bytes)) {
+    res.adler = readBe32(stream, tpos);
+    if (res.adler != util::adler32(res.inflate.bytes)) {
         res.error = "Adler-32 mismatch";
         return res;
     }

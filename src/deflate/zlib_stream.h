@@ -22,12 +22,20 @@ std::vector<uint8_t> zlibWrap(std::span<const uint8_t> deflate_stream,
                               std::span<const uint8_t> original,
                               int level = 6);
 
+/**
+ * The Adler-32 field of the trailer that ends @p stream, a whole stream
+ * as zlibWrap() returns it: the wrap's checksum without recomputing it.
+ */
+uint32_t zlibTrailerAdler(std::span<const uint8_t> stream);
+
 /** Result of unwrapping a zlib stream. */
 struct ZlibUnwrapResult
 {
     bool ok = false;
     std::string error;
     InflateResult inflate;
+    /** Trailer Adler-32; when ok, verified equal to adler32(inflate.bytes). */
+    uint32_t adler = 0;
 };
 
 /** Parse header, inflate, verify Adler-32. */

@@ -6,7 +6,6 @@
 
 #include "deflate/gzip_stream.h"
 #include "deflate/zlib_stream.h"
-#include "util/adler32.h"
 #include "util/bitstream.h"
 #include "util/crc32.h"
 #include "util/checked.h"
@@ -100,11 +99,11 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
         break;
       case Framing::Gzip:
         framed = deflate::gzipWrap(enc.bytes, source);
-        job.csb.checksum = util::crc32(source);
+        job.csb.checksum = deflate::gzipTrailerCrc(framed);
         break;
       case Framing::Zlib:
         framed = deflate::zlibWrap(enc.bytes, source);
-        job.csb.checksum = util::adler32(source);
+        job.csb.checksum = deflate::zlibTrailerAdler(framed);
         break;
     }
 

@@ -5,7 +5,6 @@
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
 #include "deflate/zlib_stream.h"
-#include "util/adler32.h"
 #include "util/crc32.h"
 
 namespace nx {
@@ -51,7 +50,7 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
             return job;
         }
         inf = std::move(res.inflate);
-        checksum = util::crc32(inf.bytes);
+        checksum = res.crc;
         break;
       }
       case Framing::Zlib: {
@@ -63,7 +62,7 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
             return job;
         }
         inf = std::move(res.inflate);
-        checksum = util::adler32(inf.bytes);
+        checksum = res.adler;
         break;
       }
     }

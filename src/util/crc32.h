@@ -3,9 +3,10 @@
  * CRC-32 (IEEE 802.3 polynomial, reflected) as used by gzip (RFC 1952).
  *
  * The accelerator computes the CRC inline with the data pipe; software
- * computes it table-driven. Both ends of every round trip in this project
- * check the CRC, which is what catches functional bugs in the match
- * pipeline or Huffman stages.
+ * folds eight bytes per step through eight 256-entry tables
+ * (slice-by-8), with a byte-at-a-time loop for the tail. Both ends of
+ * every round trip in this project check the CRC, which is what catches
+ * functional bugs in the match pipeline or Huffman stages.
  */
 
 #ifndef NXSIM_UTIL_CRC32_H

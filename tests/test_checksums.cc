@@ -1,7 +1,8 @@
 /**
  * @file
  * CRC-32 and Adler-32 against published test vectors, plus incremental
- * update equivalence.
+ * update equivalence and the slice-by-8 CRC kernel against a bitwise
+ * reference.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "util/adler32.h"
 #include "util/crc32.h"
+#include "util/prng.h"
 
 namespace {
 
@@ -18,6 +20,29 @@ std::vector<uint8_t>
 bytesOf(const std::string &s)
 {
     return {s.begin(), s.end()};
+}
+
+/** CRC-32 one bit at a time, straight from the reflected polynomial. */
+uint32_t
+bitwiseCrc32(std::span<const uint8_t> data)
+{
+    uint32_t c = 0xffffffffu;
+    for (uint8_t b : data) {
+        c ^= b;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return ~c;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    util::Xoshiro256 rng(seed);
+    std::vector<uint8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<uint8_t>(rng.below(256));
+    return v;
 }
 
 } // namespace
@@ -55,6 +80,34 @@ TEST(Crc32, ResetRestores)
     c.reset();
     c.update(bytesOf("123456789"));
     EXPECT_EQ(c.value(), 0xcbf43926u);
+}
+
+TEST(Crc32, EveryLengthAndAlignmentMatchesBitwise)
+{
+    // Lengths 0..64 cover no 8-byte step, one, and several, each with
+    // every tail length; start offsets 0..7 cover every alignment.
+    auto buf = randomBytes(64 + 8, 32);
+    for (size_t off = 0; off < 8; ++off) {
+        for (size_t len = 0; len <= 64; ++len) {
+            std::span<const uint8_t> part(buf.data() + off, len);
+            ASSERT_EQ(util::crc32(part), bitwiseCrc32(part))
+                << "offset " << off << ", length " << len;
+        }
+    }
+}
+
+TEST(Crc32, SplitAtEveryPositionMatchesOneShot)
+{
+    auto buf = randomBytes(1024, 1024);
+    const uint32_t whole = util::crc32(buf);
+    ASSERT_EQ(whole, bitwiseCrc32(buf));
+    std::span<const uint8_t> all(buf);
+    for (size_t cut = 0; cut <= buf.size(); ++cut) {
+        util::Crc32 c;
+        c.update(all.subspan(0, cut));
+        c.update(all.subspan(cut));
+        ASSERT_EQ(c.value(), whole) << "split at " << cut;
+    }
 }
 
 TEST(Adler32, EmptyIsOne)
