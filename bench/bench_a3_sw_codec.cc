@@ -18,6 +18,7 @@
 
 #include "deflate/deflate_encoder.h"
 #include "deflate/inflate_decoder.h"
+#include "deflate/inflate_stream.h"
 #include "util/adler32.h"
 #include "util/crc32.h"
 #include "workloads/corpus.h"
@@ -64,6 +65,31 @@ BM_Inflate(benchmark::State &state)
         state.iterations() * static_cast<int64_t>(sample().size()));
 }
 BENCHMARK(BM_Inflate)->Arg(1)->Arg(6)->Unit(benchmark::kMillisecond);
+
+void
+BM_InflateStream(benchmark::State &state)
+{
+    // The BM_Inflate stream fed in 4 KiB chunks, as a DMA engine or a
+    // socket delivers it.
+    constexpr size_t kChunk = 4096;
+    deflate::DeflateOptions opts;
+    opts.level = static_cast<int>(state.range(0));
+    auto stream = deflate::deflateCompress(sample(), opts).bytes;
+    std::span<const uint8_t> in(stream);
+    for (auto _ : state) {
+        deflate::InflateStream is;
+        std::vector<uint8_t> out;
+        for (size_t off = 0; off < in.size(); off += kChunk) {
+            auto chunk = in.subspan(off, std::min(kChunk, in.size() - off));
+            if (is.feed(chunk, out) == deflate::StreamStatus::Error)
+                state.SkipWithError("inflate failed");
+        }
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<int64_t>(sample().size()));
+}
+BENCHMARK(BM_InflateStream)->Arg(1)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void
 BM_Lz77Only(benchmark::State &state)
@@ -138,7 +164,7 @@ BM_InflateRecord(benchmark::State &state)
         state.iterations() * static_cast<int64_t>(rec.size()));
     state.counters["dynamic_blocks"] = static_cast<double>(dynamic);
 }
-BENCHMARK(BM_InflateRecord)->Arg(256)->Arg(1024)->Arg(4096)
+BENCHMARK(BM_InflateRecord)->Arg(256)->Arg(1024)->Arg(4096)->Arg(128 << 10)
     ->Unit(benchmark::kMicrosecond);
 
 void

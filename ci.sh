@@ -18,9 +18,11 @@
 #   8. tsan            ThreadSanitizer build; runs the `concurrency`
 #                      and `load` ctest labels (JobServer dispatch,
 #                      multi-session stress, load-generator suites)
-#   9. coverage        gcov build; runs the `session` and `load` ctest
-#                      labels and gates src/core/session.cc line
-#                      coverage against tools/coverage_baseline.txt
+#   9. coverage        gcov build; runs the `session`, `load` and
+#                      `codec` ctest labels and gates the line coverage
+#                      of src/core/session.cc and
+#                      src/deflate/inflate_stream.cc against
+#                      tools/coverage_baseline.txt
 #  10. clang-tsa       Clang -Wthread-safety over the lock annotations
 #                      (src/util/thread_annotations.h); skipped with a
 #                      notice when clang++ is absent
@@ -114,10 +116,10 @@ cmake --preset tsan
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan -L 'concurrency|load' --output-on-failure -j "$jobs"
 
-stage "coverage (session|load labels + gcov gate)" "9/14"
+stage "coverage (session|load|codec labels + gcov gate)" "9/14"
 cmake --preset coverage
 cmake --build build-coverage -j "$jobs"
-ctest --test-dir build-coverage -L 'session|load' --output-on-failure -j "$jobs"
+ctest --test-dir build-coverage -L 'session|load|codec' --output-on-failure -j "$jobs"
 tools/coverage_gate.sh build-coverage
 
 stage "clang-tsa (thread-safety annotations)" "10/14"

@@ -43,22 +43,25 @@ fuzzInflate(std::span<const uint8_t> data)
 {
     auto one = deflate::inflateDecompress(data, kMaxOutput);
 
-    // Differential leg: the independent streaming inflater must agree
-    // whenever both decoders reach a decided, successful outcome. Skip
-    // large inputs — the streaming decoder has no output cap, and a
-    // max-expansion stream grows ~1032x.
-    if (data.size() <= 4096) {
-        deflate::InflateStream is;
-        std::vector<uint8_t> streamed;
-        auto st = is.feed(data, streamed);
-        if (one.ok() && st == deflate::StreamStatus::Done)
-            FUZZ_CHECK(one.bytes == streamed,
-                       "one-shot and streaming inflate disagree");
-        if (!one.ok() && one.status != deflate::InflateStatus::OutputLimit
-            && one.status != deflate::InflateStatus::TruncatedInput)
-            FUZZ_CHECK(st != deflate::StreamStatus::Done,
-                       "streaming accepted what one-shot rejected");
-    }
+    // Resumption leg: the same core fed in chunks, split at offsets
+    // taken from the data and capped alike, must end with the one-call
+    // status and bytes, including the partial output of a failure.
+    size_t chunk = data.empty() ? 1 : 1 + data.back() % 97;
+    deflate::InflateStream is({}, kMaxOutput);
+    std::vector<uint8_t> streamed;
+    auto st = deflate::StreamStatus::NeedMoreInput;
+    size_t off = 0;
+    do {
+        size_t n = std::min(chunk, data.size() - off);
+        st = is.feed(data.subspan(off, n), streamed, off + n == data.size());
+        off += n;
+    } while (st == deflate::StreamStatus::NeedMoreInput);
+    FUZZ_CHECK((st == deflate::StreamStatus::Done) == one.ok(),
+               "chunked and one-call inflate disagree on success");
+    FUZZ_CHECK(one.ok() || is.error() == one.status,
+               "chunked and one-call inflate report different errors");
+    FUZZ_CHECK(streamed == one.bytes,
+               "chunked and one-call inflate produced different bytes");
 
     // The dictionary path shares the distance checks; drive it too.
     static const std::vector<uint8_t> dict(512, 0x41);

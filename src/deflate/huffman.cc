@@ -9,6 +9,24 @@ namespace deflate {
 
 namespace {
 
+/** Code lengths of the fixed literal/length code (RFC 1951 3.2.6). */
+constexpr std::array<uint8_t, 288> kFixedLitLenLengths = [] {
+    std::array<uint8_t, 288> lengths{};
+    for (size_t s = 0; s < lengths.size(); ++s)
+        lengths[s] = s < 144 ? 8 : s < 256 ? 9 : s < 280 ? 7 : 8;
+    return lengths;
+}();
+
+/**
+ * The fixed distance code covers 32 symbols of 5 bits (30-31 never
+ * appear in valid streams but are part of the code space).
+ */
+constexpr std::array<uint8_t, 32> kFixedDistLengths = [] {
+    std::array<uint8_t, 32> lengths{};
+    lengths.fill(5);
+    return lengths;
+}();
+
 /** Internal tree node for the frequency heap. */
 struct Node
 {
@@ -209,29 +227,39 @@ HuffmanCode::costBits(std::span<const uint64_t> freqs) const
 const HuffmanCode &
 HuffmanCode::fixedLitLen()
 {
-    static const HuffmanCode code = [] {
-        std::vector<uint8_t> lengths(288);
-        for (size_t s = 0; s <= 143; ++s)
-            lengths[s] = 8;
-        for (size_t s = 144; s <= 255; ++s)
-            lengths[s] = 9;
-        for (size_t s = 256; s <= 279; ++s)
-            lengths[s] = 7;
-        for (size_t s = 280; s <= 287; ++s)
-            lengths[s] = 8;
-        return HuffmanCode(lengths);
-    }();
+    static const HuffmanCode code(kFixedLitLenLengths);
     return code;
 }
 
 const HuffmanCode &
 HuffmanCode::fixedDist()
 {
-    static const HuffmanCode code = [] {
-        std::vector<uint8_t> lengths(30, 5);
-        return HuffmanCode(lengths);
-    }();
+    // The encoder never emits distance symbols 30-31.
+    static const HuffmanCode code(
+        std::span<const uint8_t>(kFixedDistLengths).first(kNumDist));
     return code;
+}
+
+const HuffmanDecodeTable &
+HuffmanDecodeTable::fixedLitLen()
+{
+    static const HuffmanDecodeTable table = [] {
+        HuffmanDecodeTable t;
+        t.init(kFixedLitLenLengths);
+        return t;
+    }();
+    return table;
+}
+
+const HuffmanDecodeTable &
+HuffmanDecodeTable::fixedDist()
+{
+    static const HuffmanDecodeTable table = [] {
+        HuffmanDecodeTable t;
+        t.init(kFixedDistLengths);
+        return t;
+    }();
+    return table;
 }
 
 bool

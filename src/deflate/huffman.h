@@ -142,6 +142,12 @@ class HuffmanDecodeTable
 
     bool valid() const { return !root_.empty(); }
 
+    /** The fixed literal/length code of RFC 1951 section 3.2.6. */
+    static const HuffmanDecodeTable &fixedLitLen();
+
+    /** The fixed distance code, all 32 symbols of 5 bits. */
+    static const HuffmanDecodeTable &fixedDist();
+
   private:
     struct Entry
     {

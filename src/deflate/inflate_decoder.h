@@ -1,10 +1,13 @@
 /**
  * @file
- * Raw DEFLATE (RFC 1951) stream decoder.
+ * One-call raw DEFLATE (RFC 1951) decode: inflateDecompress() is a
+ * single end-of-input feed of the inflate core, InflateStream
+ * (inflate_stream.h), and these are the result types both share.
  *
- * Fully independent of the encoder (no shared emission code), so a
- * successful round trip really exercises the format. Reports per-block
- * stats the accelerator decompress model uses for its timing estimate.
+ * The decoder is fully independent of the encoder (no shared emission
+ * code), so a successful round trip really exercises the format. It
+ * reports per-block stats the accelerator decompress model uses for
+ * its timing estimate.
  */
 
 #ifndef NXSIM_DEFLATE_INFLATE_DECODER_H

@@ -1,27 +1,30 @@
 /**
  * @file
- * Streaming DEFLATE decompressor: a resumable state machine that
- * accepts compressed input in arbitrary chunks and produces output as
- * soon as it is decodable — the decode-side counterpart of
- * DeflateStream, and the software mirror of how the accelerator's
- * decompressor consumes its source DDE as the DMA engine streams it.
+ * The DEFLATE (RFC 1951) decoder: a resumable inflater that accepts
+ * compressed input in arbitrary chunks and produces output as soon as
+ * it is decodable — the decode-side counterpart of DeflateStream, and
+ * the software mirror of how the accelerator's decompressor consumes
+ * its source DDE as the DMA engine streams it. The one-call
+ * inflateDecompress() is a single feed with end of input set.
  *
- * Unlike the one-shot inflateDecompress(), this class suspends and
- * resumes at any input-bit boundary: mid block header, mid symbol,
- * mid stored-block payload.
+ * Decoding pauses only between units: a block header (for a dynamic
+ * block, its whole code-length header), a stored byte, or a
+ * whole literal or match with its extra bits and distance. When a feed
+ * ends inside a unit, the unit is decoded again from its first bit on
+ * the next feed; only its unread bytes are kept. Each feed decodes
+ * straight from the caller's span, and the 32 KiB history window is
+ * updated once per feed.
  */
 
 #ifndef NXSIM_DEFLATE_INFLATE_STREAM_H
 #define NXSIM_DEFLATE_INFLATE_STREAM_H
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
 #include "deflate/huffman.h"
 #include "deflate/inflate_decoder.h"
-#include "util/checked.h"
 #include "util/protocol.h"
 #include "util/taint.h"
 
@@ -41,17 +44,27 @@ NXSIM_PROTOCOL(InflateStream, feed*);
 class InflateStream
 {
   public:
-    InflateStream() = default;
+    /**
+     * @param dict preset dictionary: back-references may reach into
+     *             its last 32 KiB before output starts (zlib FDICT)
+     * @param max_output cap on decompressed bytes (OutputLimit beyond)
+     */
+    explicit InflateStream(std::span<const uint8_t> dict = {},
+                           size_t max_output = size_t{1} << 30);
 
     /**
      * Feed more compressed bytes; decoded bytes are appended to
      * @p out. May be called with empty input to re-drive the machine.
+     * With @p end_of_input (zlib's Z_FINISH) no more input follows: a
+     * stream cut short is an Error with error() TruncatedInput rather
+     * than NeedMoreInput.
      */
-    [[nodiscard]] StreamStatus feed(NXSIM_UNTRUSTED std::span<const uint8_t> data,
-                      std::vector<uint8_t> &out);
+    [[nodiscard]] StreamStatus feed(
+        NXSIM_UNTRUSTED std::span<const uint8_t> data,
+        std::vector<uint8_t> &out, bool end_of_input = false);
 
     /** True once the final block has been consumed. */
-    bool done() const { return state_ == State::Done; }
+    bool done() const { return phase_ == Phase::Done; }
 
     /** Error detail when feed() returned Error. */
     [[nodiscard]] InflateStatus error() const { return error_; }
@@ -59,157 +72,57 @@ class InflateStream
     /** Total decompressed bytes produced. */
     uint64_t totalOut() const { return totalOut_; }
 
+    /** Block and symbol counts; inputBits counts the bits consumed. */
+    const InflateStats &stats() const { return stats_; }
+
     /**
-     * Unconsumed input bits currently buffered (diagnostics; after
-     * Done this is the trailer/extra data the caller should reclaim).
+     * Unconsumed input bits fed so far (diagnostics; after Done this
+     * is the trailer/extra data the caller should reclaim).
      */
-    size_t bufferedBits() const;
+    size_t bufferedBits() const { return fedBytes_ * 8 - stats_.inputBits; }
 
   private:
-    /** Decode states. */
-    enum class State
+    /** Where the next unit starts. */
+    enum class Phase
     {
-        BlockHeader,
-        StoredLen,
-        StoredBody,
-        DynHeaderCounts,
-        DynCodeLengths,
-        Symbols,
+        Header,   ///< block header
+        Stored,   ///< stored-block bytes
+        Codes,    ///< Huffman-coded symbols
         Done,
         Error,
     };
 
-    /** Bit-level input buffer that survives across feed() calls. */
-    class BitBuffer
-    {
-      public:
-        void
-        append(std::span<const uint8_t> data)
-        {
-            bytes_.insert(bytes_.end(), data.begin(), data.end());
-        }
+    /**
+     * Decode units until the final block ends (Ok), input runs out
+     * (TruncatedInput) or the stream is malformed. @p mark is left at
+     * the first bit not consumed: the start of a cut unit, or the end
+     * of the stream.
+     */
+    [[nodiscard]] InflateStatus decode(util::BitReader &br,
+                                       std::vector<uint8_t> &out,
+                                       size_t out_start, uint64_t &mark);
+    [[nodiscard]] InflateStatus readBlockHeader(util::BitReader &br,
+                                                uint64_t produced);
+    [[nodiscard]] InflateStatus decodeCodes(util::BitReader &br,
+                                            std::vector<uint8_t> &out,
+                                            size_t out_start,
+                                            uint64_t &mark);
+    void keepHistory(std::span<const uint8_t> produced);
 
-        /** Bits available to read. */
-        size_t
-        available() const
-        {
-            return bitCount_ + (bytes_.size() - pos_) * 8;
-        }
-
-        /** Peek up to 32 bits (zero-padded past end). */
-        uint32_t
-        peek(unsigned nbits)
-        {
-            fill();
-            return nx::truncate_cast<uint32_t>(buf_) &
-                (nbits >= 32 ? 0xffffffffu : ((1u << nbits) - 1));
-        }
-
-        /** Consume nbits; caller must have checked available(). */
-        void
-        consume(unsigned nbits)
-        {
-            fill();
-            buf_ >>= nbits;
-            bitCount_ -= nbits;
-        }
-
-        /** Discard to byte boundary. */
-        void
-        align()
-        {
-            unsigned drop = bitCount_ % 8;
-            buf_ >>= drop;
-            bitCount_ -= drop;
-        }
-
-        /** Pop one whole byte (requires alignment + availability). */
-        uint8_t
-        popByte()
-        {
-            fill();
-            auto b = nx::checked_cast<uint8_t>(buf_ & 0xff);
-            buf_ >>= 8;
-            bitCount_ -= 8;
-            return b;
-        }
-
-        /** Drop storage already consumed (bounded memory). */
-        void
-        compact()
-        {
-            if (pos_ > 4096) {
-                bytes_.erase(bytes_.begin(),
-                             bytes_.begin() + static_cast<long>(pos_));
-                pos_ = 0;
-            }
-        }
-
-      private:
-        void
-        fill()
-        {
-            while (bitCount_ <= 56 && pos_ < bytes_.size()) {
-                buf_ |= static_cast<uint64_t>(bytes_[pos_++])
-                    << bitCount_;
-                bitCount_ += 8;
-            }
-        }
-
-        std::vector<uint8_t> bytes_;
-        size_t pos_ = 0;
-        uint64_t buf_ = 0;
-        unsigned bitCount_ = 0;
-    };
-
-    /** Emit one output byte, maintaining the 32 KiB window. */
-    void
-    push(uint8_t b, std::vector<uint8_t> &out)
-    {
-        out.push_back(b);
-        window_.push_back(b);
-        if (window_.size() > static_cast<size_t>(kWindowSize))
-            window_.pop_front();
-        ++totalOut_;
-    }
-
-    bool stepBlockHeader();
-    bool stepStoredLen();
-    bool stepStoredBody(std::vector<uint8_t> &out);
-    bool stepDynHeaderCounts();
-    bool stepDynCodeLengths();
-    bool stepSymbols(std::vector<uint8_t> &out);
-
-    void
-    fail(InflateStatus status)
-    {
-        state_ = State::Error;
-        error_ = status;
-    }
-
-    State state_ = State::BlockHeader;
+    const size_t maxOutput_;
+    Phase phase_ = Phase::Header;
     InflateStatus error_ = InflateStatus::Ok;
-    BitBuffer bits_;
-    std::deque<uint8_t> window_;
-    uint64_t totalOut_ = 0;
-
-    // Per-block state.
-    bool finalBlock_ = false;
-    unsigned storedRemaining_ = 0;
+    bool lastBlock_ = false;
+    bool fixedCodes_ = false;
+    unsigned storedLeft_ = 0;
     HuffmanDecodeTable litlen_;
     HuffmanDecodeTable dist_;
-    // Dynamic-header parsing state.
-    unsigned hlit_ = 0;
-    unsigned hdist_ = 0;
-    unsigned hclen_ = 0;
-    unsigned clRead_ = 0;
-    std::vector<uint8_t> clLengths_;
-    HuffmanDecodeTable clTable_;
-    std::vector<uint8_t> lengths_;
-    // Pending match copy interrupted by output (never happens today,
-    // matches are copied whole once decoded) — length decode state:
-    bool haveLength_ = false;
-    unsigned matchLength_ = 0;
+    std::vector<uint8_t> window_;    ///< history before this feed
+    std::vector<uint8_t> pending_;   ///< unread bytes of a cut unit
+    unsigned skipBits_ = 0;          ///< bits of pending_[0] consumed
+    uint64_t fedBytes_ = 0;
+    uint64_t totalOut_ = 0;
+    InflateStats stats_;
 };
 
 } // namespace deflate

@@ -181,6 +181,9 @@ class BitReader
     /** Bytes fully or partially consumed, rounded up. */
     size_t bytesConsumed() const { return (bitsConsumed() + 7) / 8; }
 
+    /** Bits not yet consumed. */
+    uint64_t bitsLeft() const { return (data_.size() - pos_) * 8 + bitCount_; }
+
     /** True when all input bits have been consumed. */
     bool
     exhausted() const

@@ -2,8 +2,9 @@
  * @file
  * Differential and fuzz tests across independent implementations:
  *
- *  - the one-shot inflater vs the streaming inflater must agree on
- *    every stream (valid or corrupted) — same bytes or both error;
+ *  - the inflate core, called once and fed in random chunks, vs the
+ *    bit-at-a-time reference inflater (reference_inflate.h) on every
+ *    stream, valid or corrupted: same bytes or both reject;
  *  - the accelerator decompress engine vs software inflate on the
  *    same streams;
  *  - bit-flip fuzz over encoder outputs must never produce a crash,
@@ -22,6 +23,7 @@
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
 #include "deflate/inflate_stream.h"
+#include "reference_inflate.h"
 #include "util/prng.h"
 #include "workloads/corpus.h"
 
@@ -34,6 +36,26 @@ streamInflate(std::span<const uint8_t> stream)
     deflate::InflateStream is;
     std::vector<uint8_t> out;
     auto st = is.feed(stream, out);
+    return {st == deflate::StreamStatus::Done, std::move(out)};
+}
+
+/**
+ * Feed the stream to InflateStream in random chunks of 1..8 KiB, the
+ * last one marked as the end of input.
+ */
+std::pair<bool, std::vector<uint8_t>>
+chunkedInflate(std::span<const uint8_t> stream, util::Xoshiro256 &rng,
+               size_t max_output = size_t{1} << 30)
+{
+    deflate::InflateStream is({}, max_output);
+    std::vector<uint8_t> out;
+    auto st = deflate::StreamStatus::NeedMoreInput;
+    size_t off = 0;
+    do {
+        size_t n = std::min<size_t>(1 + rng.below(8192), stream.size() - off);
+        st = is.feed(stream.subspan(off, n), out, off + n == stream.size());
+        off += n;
+    } while (off < stream.size() && st == deflate::StreamStatus::NeedMoreInput);
     return {st == deflate::StreamStatus::Done, std::move(out)};
 }
 
@@ -55,6 +77,7 @@ randomInput(util::Xoshiro256 &rng)
 TEST(Differential, OneShotVsStreamingOnValidStreams)
 {
     util::Xoshiro256 rng(0xd1ff);
+    util::Xoshiro256 chunks(0xd1ff0);
     for (int trial = 0; trial < 30; ++trial) {
         auto input = randomInput(rng);
         deflate::DeflateOptions opts;
@@ -63,10 +86,13 @@ TEST(Differential, OneShotVsStreamingOnValidStreams)
         auto stream = deflate::deflateCompress(input, opts).bytes;
 
         auto one = deflate::inflateDecompress(stream);
-        auto [ok, streamed] = streamInflate(stream);
+        auto [ok, streamed] = chunkedInflate(stream, chunks);
+        auto ref = reference::inflate(stream);
         ASSERT_TRUE(one.ok()) << trial;
         ASSERT_TRUE(ok) << trial;
+        ASSERT_TRUE(ref.has_value()) << trial;
         EXPECT_EQ(one.bytes, streamed) << trial;
+        EXPECT_EQ(one.bytes, *ref) << trial;
         EXPECT_EQ(one.bytes, input) << trial;
     }
 }
@@ -74,6 +100,7 @@ TEST(Differential, OneShotVsStreamingOnValidStreams)
 TEST(Differential, DecodersAgreeOnCorruptedStreams)
 {
     util::Xoshiro256 rng(0xc0de);
+    util::Xoshiro256 chunks(0xc0de0);
     auto input = workloads::makeMixed(60000, 2);
     auto stream = deflate::deflateCompress(input).bytes;
 
@@ -86,30 +113,22 @@ TEST(Differential, DecodersAgreeOnCorruptedStreams)
             corrupted[rng.below(corrupted.size())] ^=
                 static_cast<uint8_t>(1u << rng.below(8));
 
-        auto one = deflate::inflateDecompress(
-            corrupted, input.size() * 4);
-        auto [ok, streamed] = streamInflate(corrupted);
+        size_t cap = input.size() * 4;
+        auto one = deflate::inflateDecompress(corrupted, cap);
+        auto [ok, streamed] = chunkedInflate(corrupted, chunks, cap);
+        auto ref = reference::inflate(corrupted, {}, cap);
 
-        // The streaming decoder cannot see "truncated" — it just
-        // waits for more input — so compare only decided outcomes:
-        // if both decided OK, outputs must match; if one-shot hit a
-        // hard format error, the streamed decode must not have
-        // produced a *successful complete* different answer.
-        if (one.ok() && ok) {
-            if (one.bytes == streamed)
-                ++both_ok_same;
-            else
-                ++disagreements;
-        } else if (!one.ok() && !ok) {
+        // The core, called once or fed in chunks, must reach the
+        // reference's verdict: the same bytes, or a rejection.
+        if (one.ok() != ref.has_value() || ok != ref.has_value() ||
+            (ref && (one.bytes != *ref || streamed != *ref)))
+            ++disagreements;
+        else if (ref)
+            ++both_ok_same;
+        else
             ++both_error;
-        }
-        // Mixed outcomes are possible only via truncation semantics;
-        // they are not disagreements.
     }
     EXPECT_EQ(disagreements, 0);
-    // Corruption usually surfaces as an error on the one-shot side
-    // and NeedMoreInput (undecided) on the streaming side, so only a
-    // subset lands in the decided-error bucket on both.
     EXPECT_GE(both_error, 1);
     // Raw DEFLATE has no integrity check: a flipped literal or
     // extra-bits field often still yields a VALID stream with wrong

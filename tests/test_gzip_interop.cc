@@ -213,3 +213,26 @@ TEST_F(GzipInterop, BinaryDataBothDirections)
     ASSERT_TRUE(d.ok) << d.error;
     EXPECT_EQ(d.data, input);
 }
+
+TEST_F(GzipInterop, DynamicBlockWithoutDistanceCodesAgreesWithGzip)
+{
+    // A dynamic block with one distance code of zero bits, which RFC
+    // 1951 3.2.7 reads as "no distance codes used at all". Our encoder
+    // never writes it, so a hand-made raw stream is wrapped and system
+    // gzip judges it.
+    const std::vector<uint8_t> raw = {
+        0x05, 0xc0, 0x01, 0x09, 0x00, 0x00, 0x00, 0x80,
+        0xa0, 0xad, 0xf5, 0x7f, 0x84, 0xf4, 0x01,
+    };
+    const std::vector<uint8_t> text = {'a', 'b', 'b', 'a'};
+    auto member = deflate::gzipWrap(raw, text);
+    auto gz = tmpPath("nodist.gz");
+    auto out = tmpPath("nodist.out");
+    writeFile(gz, member);
+    ASSERT_EQ(run("gzip -dc " + gz + " > " + out + " 2>/dev/null"), 0);
+    EXPECT_EQ(readFile(out), text);
+
+    auto res = deflate::gzipUnwrap(member);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.inflate.bytes, readFile(out));
+}

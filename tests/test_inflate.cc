@@ -9,8 +9,10 @@
 #include <string>
 
 #include "deflate/constants.h"
+#include "deflate/deflate_encoder.h"
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
+#include "deflate/inflate_stream.h"
 #include "util/bitstream.h"
 
 using deflate::inflateDecompress;
@@ -300,6 +302,65 @@ TEST(Inflate, DynamicHeaderCountsOutOfRange)
     auto stream = bw.take();
     auto res = inflateDecompress(stream);
     EXPECT_EQ(res.status, InflateStatus::BadCodeLengths);
+}
+
+namespace {
+
+/**
+ * A foreign dynamic block (zlib accepts it; our encoder never writes
+ * this shape): HLIT 257 and HDIST 1 with that one length 0, which RFC
+ * 1951 3.2.7 defines as "no distance codes used at all". It decodes to
+ * "abba".
+ */
+const std::vector<uint8_t> kNoDistanceCodes = {
+    0x05, 0xc0, 0x01, 0x09, 0x00, 0x00, 0x00, 0x80,
+    0xa0, 0xad, 0xf5, 0x7f, 0x84, 0xf4, 0x01,
+};
+
+} // namespace
+
+TEST(Inflate, DynamicBlockWithoutDistanceCodes)
+{
+    auto res = inflateDecompress(kNoDistanceCodes);
+    ASSERT_EQ(res.status, InflateStatus::Ok);
+    EXPECT_EQ(std::string(res.bytes.begin(), res.bytes.end()), "abba");
+    EXPECT_EQ(res.stats.dynamicBlocks, 1u);
+    EXPECT_EQ(res.consumedBytes, kNoDistanceCodes.size());
+
+    deflate::InflateStream is;
+    std::vector<uint8_t> out;
+    auto st = deflate::StreamStatus::NeedMoreInput;
+    for (uint8_t b : kNoDistanceCodes)
+        st = is.feed(std::span<const uint8_t>(&b, 1), out);
+    EXPECT_EQ(st, deflate::StreamStatus::Done);
+    EXPECT_EQ(std::string(out.begin(), out.end()), "abba");
+}
+
+TEST(Inflate, LengthSymbolWithoutDistanceCodesIsBadSymbol)
+{
+    // The same shape built by hand, but with a length symbol in the
+    // block: the empty distance code rejects whatever follows it.
+    deflate::SymbolFreqs freqs;
+    freqs.litlen['a'] = 1;
+    freqs.litlen[deflate::kEob] = 1;
+    freqs.litlen[257] = 1;
+    deflate::BlockCodes codes;
+    codes.litlenLengths =
+        deflate::buildCodeLengths(freqs.litlen, deflate::kMaxBits);
+    codes.distLengths.assign(deflate::kNumDist, 0);
+    codes.litlen = deflate::HuffmanCode(codes.litlenLengths);
+
+    BitWriter bw;
+    bw.writeBits(1, 1);    // BFINAL
+    bw.writeBits(2, 2);    // dynamic
+    deflate::writeDynamicHeader(bw, codes);
+    codes.litlen.writeSymbol(bw, 'a');
+    codes.litlen.writeSymbol(bw, 257);    // length 3, no distance code
+    codes.litlen.writeSymbol(bw, deflate::kEob);
+    auto stream = bw.take();
+
+    auto res = inflateDecompress(stream);
+    EXPECT_EQ(res.status, InflateStatus::BadSymbol);
 }
 
 TEST(Inflate, TruncatedGzipHeader)

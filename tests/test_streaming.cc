@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "deflate/deflate_encoder.h"
 #include "deflate/deflate_stream.h"
 #include "deflate/inflate_decoder.h"
 #include "deflate/inflate_stream.h"
@@ -306,4 +307,155 @@ TEST(Streaming, StreamingDecoderAcceptsOneShotOutput)
     std::vector<uint8_t> out;
     ASSERT_TRUE(streamDecompress(stream, 313, out));
     EXPECT_EQ(out, input);
+}
+
+namespace {
+
+/** Tokenize @p text at level 6 into @p tokens; append it to @p out. */
+void
+tokenize(const std::string &text, std::vector<uint8_t> &out,
+         std::vector<deflate::Token> &tokens)
+{
+    deflate::Lz77Matcher matcher(deflate::levelParams(6));
+    auto bytes = std::vector<uint8_t>(text.begin(), text.end());
+    tokens = matcher.tokenize(bytes);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
+/**
+ * One stored, one fixed and one final dynamic block, hand-assembled so
+ * each type is present whatever the encoder's block choice. Returns the
+ * stream and its decoded bytes.
+ */
+std::pair<std::vector<uint8_t>, std::vector<uint8_t>>
+threeBlockStream()
+{
+    util::BitWriter bw;
+    std::vector<uint8_t> text;
+
+    const std::string stored = "stored bytes, ";
+    bw.writeBits(0, 1);
+    bw.writeBits(0, 2);
+    bw.alignToByte();
+    bw.writeU16le(static_cast<uint16_t>(stored.size()));
+    bw.writeU16le(static_cast<uint16_t>(~stored.size()));
+    for (char c : stored)
+        bw.writeByte(static_cast<uint8_t>(c));
+    text.insert(text.end(), stored.begin(), stored.end());
+
+    std::vector<deflate::Token> tokens;
+    tokenize("fixed codes, fixed codes, fixed codes, ", text, tokens);
+    bw.writeBits(0, 1);
+    bw.writeBits(1, 2);
+    deflate::emitTokens(bw, tokens, deflate::HuffmanCode::fixedLitLen(),
+                        deflate::HuffmanCode::fixedDist());
+
+    tokenize("dynamic codes, dynamic codes, dynamic codes.", text, tokens);
+    deflate::SymbolFreqs freqs;
+    freqs.accumulate(tokens);
+    auto codes = deflate::buildDynamicCodes(freqs);
+    bw.writeBits(1, 1);
+    bw.writeBits(2, 2);
+    deflate::writeDynamicHeader(bw, codes);
+    deflate::emitTokens(bw, tokens, codes.litlen, codes.dist);
+    return {bw.take(), text};
+}
+
+} // namespace
+
+TEST(InflateStream, EveryTwoFeedSplitMatchesOneFeed)
+{
+    auto [stream, text] = threeBlockStream();
+    auto one = deflate::inflateDecompress(stream);
+    ASSERT_TRUE(one.ok());
+    ASSERT_EQ(one.bytes, text);
+    EXPECT_EQ(one.stats.storedBlocks, 1u);
+    EXPECT_EQ(one.stats.fixedBlocks, 1u);
+    EXPECT_EQ(one.stats.dynamicBlocks, 1u);
+
+    std::span<const uint8_t> in(stream);
+    for (size_t k = 0; k <= in.size(); ++k) {
+        InflateStream is;
+        std::vector<uint8_t> out;
+        auto first = is.feed(in.first(k), out);
+        EXPECT_EQ(first, k == in.size() ? StreamStatus::Done
+                                        : StreamStatus::NeedMoreInput) << k;
+        EXPECT_EQ(is.feed(in.subspan(k), out), StreamStatus::Done) << k;
+        EXPECT_EQ(out, text) << k;
+        EXPECT_EQ(is.stats().inputBits, one.stats.inputBits) << k;
+        // Only the final byte's padding is left unread.
+        EXPECT_EQ(is.bufferedBits(), in.size() * 8 - one.stats.inputBits)
+            << k;
+    }
+}
+
+TEST(InflateStream, DictionaryByteAtATimeMatchesOneCall)
+{
+    auto dict = workloads::makeText(40000, 93);
+    auto input = workloads::makeText(20000, 93);    // shares the dict's text
+    auto stream = deflate::deflateCompressWithDict(input, dict).bytes;
+    auto one = deflate::inflateDecompressWithDict(stream, dict);
+    ASSERT_TRUE(one.ok());
+    ASSERT_EQ(one.bytes, input);
+    ASSERT_FALSE(deflate::inflateDecompress(stream).ok());    // needs dict
+
+    InflateStream is(dict);
+    std::vector<uint8_t> out;
+    auto st = StreamStatus::NeedMoreInput;
+    for (size_t i = 0; i < stream.size(); ++i)
+        st = is.feed(std::span<const uint8_t>(&stream[i], 1), out);
+    EXPECT_EQ(st, StreamStatus::Done);
+    EXPECT_EQ(out, one.bytes);
+}
+
+TEST(InflateStream, OutputCapStopsWhereOneCallStops)
+{
+    auto input = workloads::makeLog(50000, 94);
+    for (int level : {0, 1, 6}) {
+        deflate::DeflateOptions opts;
+        opts.level = level;
+        auto stream = deflate::deflateCompress(input, opts).bytes;
+        for (size_t cap : {size_t{0}, size_t{777}, size_t{40000}}) {
+            auto one = deflate::inflateDecompress(stream, cap);
+            ASSERT_EQ(one.status, deflate::InflateStatus::OutputLimit)
+                << level << " " << cap;
+
+            InflateStream is({}, cap);
+            std::vector<uint8_t> out;
+            auto st = StreamStatus::NeedMoreInput;
+            for (size_t off = 0;
+                 off < stream.size() && st == StreamStatus::NeedMoreInput;
+                 off += 100) {
+                auto n = std::min<size_t>(100, stream.size() - off);
+                st = is.feed(std::span(stream).subspan(off, n), out);
+            }
+            EXPECT_EQ(st, StreamStatus::Error) << level << " " << cap;
+            EXPECT_EQ(is.error(), deflate::InflateStatus::OutputLimit);
+            EXPECT_EQ(out, one.bytes) << level << " " << cap;
+            EXPECT_LE(is.totalOut(), cap);
+        }
+    }
+}
+
+TEST(InflateStream, TruncationIsAnErrorOnlyAtEndOfInput)
+{
+    auto [stream, text] = threeBlockStream();
+    for (size_t k : {size_t{0}, size_t{1}, size_t{9}, stream.size() / 2,
+                     stream.size() - 1}) {
+        std::span<const uint8_t> cut(stream.data(), k);
+
+        InflateStream waiting;
+        std::vector<uint8_t> out;
+        EXPECT_EQ(waiting.feed(cut, out), StreamStatus::NeedMoreInput) << k;
+        // Declaring the end later, with no more bytes, is the same cut.
+        EXPECT_EQ(waiting.feed({}, out, true), StreamStatus::Error) << k;
+        EXPECT_EQ(waiting.error(), deflate::InflateStatus::TruncatedInput);
+
+        InflateStream finishing;
+        out.clear();
+        EXPECT_EQ(finishing.feed(cut, out, true), StreamStatus::Error) << k;
+        EXPECT_EQ(finishing.error(), deflate::InflateStatus::TruncatedInput);
+        EXPECT_EQ(deflate::inflateDecompress(cut).status,
+                  deflate::InflateStatus::TruncatedInput) << k;
+    }
 }

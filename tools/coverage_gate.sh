@@ -1,13 +1,15 @@
 #!/usr/bin/env sh
-# Line-coverage gate for the session layer (the ci.sh coverage stage).
+# Line-coverage gate (the ci.sh coverage stage) for the files listed in
+# tools/coverage_baseline.txt: the session layer and the DEFLATE
+# decoder.
 #
 # Expects a build tree configured with the `coverage` preset
-# (NXSIM_COVERAGE=ON) in which the `session`-labeled ctest suites have
-# already run, so the .gcda counters exist. Runs gcov over
-# src/core/session.cc and fails when the executed-line percentage
-# falls below the checked-in minimum in tools/coverage_baseline.txt —
-# a one-way ratchet: raise the baseline when coverage improves, never
-# lower it to make a regression pass.
+# (NXSIM_COVERAGE=ON) in which the `session`-, `load`- and
+# `codec`-labeled ctest suites have already run, so the .gcda counters
+# exist. Runs gcov over each listed source file and fails when its
+# executed-line percentage falls below the checked-in minimum in
+# tools/coverage_baseline.txt — a one-way ratchet: raise the baseline
+# when coverage improves, never lower it to make a regression pass.
 #
 # Usage: tools/coverage_gate.sh [build-dir]   (default: build-coverage)
 set -eu
@@ -33,7 +35,7 @@ grep -v '^[[:space:]]*#' "$baseline_file" | while read -r src min; do
     gcda=$(find "$build" -name "$name.gcda" | head -n 1)
     if [ -z "$gcda" ]; then
         echo "coverage_gate: no $name.gcda under $build — did the" \
-             "session-labeled tests run in the coverage build?" >&2
+             "labeled tests run in the coverage build?" >&2
         exit 1
     fi
     # gcov prints "File '<path>'" then "Lines executed:P% of N"; take
