@@ -6,12 +6,15 @@
 #                      (tools/nxlint; also registered as a ctest, the
 #                      explicit stage gives findings on stdout)
 #   3. nxdeps          include-graph layering checker over the whole
-#                      tree (tools/nxdeps; also a ctest)
+#                      tree (tools/nxdeps; also a ctest); its --dot
+#                      output must match DESIGN.md's architecture
+#                      diagram
 #   4. nxtaint         untrusted-input dataflow analysis from BitReader
 #                      sources to memory sinks (tools/nxtaint; also a
 #                      ctest)
 #   5. nxstate         typestate protocol + lock-order analyzer
-#                      (tools/nxstate; also a ctest)
+#                      (tools/nxstate; also a ctest); its --dot output
+#                      must match DESIGN.md's lock-order graph
 #   6. nxown           resource-ownership analyzer (tools/nxown; also
 #                      a ctest)
 #   7. asan-ubsan      full ctest under ASan+UBSan (no recover)
@@ -86,6 +89,14 @@ analyzer() {
     fi
 }
 
+# DESIGN.md embeds the graph a tool prints with --dot as a fenced block
+# starting `digraph <name> {`; any difference from a fresh run fails,
+# so the documented diagram is always the tool's own output.
+design_dot() {
+    "./build-ci/tools/$1/$1" --dot . > "build-ci/$1.dot"
+    awk "/^digraph $2 /,/^}/" DESIGN.md | diff -u - "build-ci/$1.dot"
+}
+
 stage "ci preset (warnings-as-errors)" "1/14"
 cmake --preset ci
 cmake --build build-ci -j "$jobs"
@@ -96,12 +107,14 @@ analyzer nxlint
 
 stage "nxdeps (include-graph layering)" "3/14"
 analyzer nxdeps
+design_dot nxdeps nxdeps_modules
 
 stage "nxtaint (untrusted-input dataflow)" "4/14"
 analyzer nxtaint
 
 stage "nxstate (typestate + lock order)" "5/14"
 analyzer nxstate
+design_dot nxstate nxstate_locks
 
 stage "nxown (resource ownership)" "6/14"
 analyzer nxown

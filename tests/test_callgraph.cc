@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/callgraph.h"
+#include "common/tokens.h"
 
 namespace {
 
@@ -135,6 +136,46 @@ TEST(CallgraphDefs, ControlBlocksAreNotFunctions)
         "    switch (n) { default: break; }\n"
         "}\n");
     EXPECT_EQ(g.functions().size(), 1u);
+}
+
+TEST(CallgraphDefs, FindFunctionsReturnsEveryBodyWithItsClass)
+{
+    const std::string src =
+        "auto byLen = [](int a, int b) { return a < b; };\n"
+        "struct Pool {\n"
+        "    Pool(int n);\n"
+        "    bool operator==(const Pool &o) const { return n_ == o.n_; }\n"
+        "    int n_;\n"
+        "};\n"
+        "Pool::Pool(int n) : n_(n) { grow(n); }\n"
+        "template <class T> T twice(T x) { return x + x; }\n";
+    std::vector<nxlex::Token> toks =
+        nxcommon::mergeOperators(nxlex::Lexer(src).run());
+    std::vector<FunctionDef> fns = nxcommon::findFunctions(toks, 3);
+    ASSERT_EQ(fns.size(), 4u);
+    // The namespace-scope lambda: a body without a name.
+    EXPECT_EQ(fns[0].name, "");
+    EXPECT_EQ(fns[0].line, 1);
+    EXPECT_EQ(fns[0].params, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(fns[1].name, "operator");
+    EXPECT_EQ(fns[1].cls, "Pool");
+    // The initializer list resolves back to the real parameter list,
+    // and the `Pool::` qualifier gives the class.
+    EXPECT_EQ(fns[2].name, "Pool");
+    EXPECT_EQ(fns[2].cls, "Pool");
+    EXPECT_EQ(fns[2].params, (std::vector<std::string>{"n"}));
+    EXPECT_EQ(fns[2].fileIdx, 3u);
+    EXPECT_EQ(toks[fns[2].bodyBegin].line, 7);
+    // A template parameter's `class` does not open a class body.
+    EXPECT_EQ(fns[3].name, "twice");
+    EXPECT_EQ(fns[3].cls, "");
+
+    // The graph indexes only the named, non-operator bodies.
+    auto g = graphOf(src);
+    std::vector<std::string> names;
+    for (const FunctionDef &f : g.functions())
+        names.push_back(f.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"Pool", "twice"}));
 }
 
 TEST(CallgraphDefs, DefaultArgumentsLowerMinArity)

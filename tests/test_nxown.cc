@@ -123,6 +123,69 @@ TEST(NxownLeak, RaiiHolderExitsClean)
     EXPECT_TRUE(fs.empty()) << dump(fs);
 }
 
+TEST(NxownLeak, SwitchReleasingInEveryCaseIsClean)
+{
+    const std::string head = "int f(Pool &p, int k) {\n"
+                             "    auto h = p.acquire(4);\n"
+                             "    switch (k) {\n"
+                             "    case 0: p.put(h); break;\n";
+    const std::string tail = "    }\n"
+                             "    return 0;\n"
+                             "}\n";
+    auto fs = run(head + "    default: p.put(h); break;\n" + tail);
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+    // Without a default label, k may match no case: the handle leaks.
+    fs = run(head + "    case 1: p.put(h); break;\n" + tail);
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-leak");
+}
+
+TEST(NxownLeak, BreakInsideACaseLeaksPastTheSwitch)
+{
+    // The `if (c) break;` path leaves case 0 with the handle held.
+    auto fs = run("int f(Pool &p, int k, bool c) {\n"
+                  "    auto h = p.acquire(4);\n"
+                  "    switch (k) {\n"
+                  "    case 0: if (c) break; p.put(h); break;\n"
+                  "    default: p.put(h); break;\n"
+                  "    }\n"
+                  "    return 0;\n"
+                  "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-leak");
+}
+
+TEST(NxownLeak, BothBranchesReleasingInALoopIsClean)
+{
+    // One branch breaks, the other continues; both released the handle.
+    auto fs = run("int f(Pool &p, int n, bool c) {\n"
+                  "    for (int i = 0; i < n; ++i) {\n"
+                  "        auto h = p.acquire(4);\n"
+                  "        if (c) { p.put(h); break; } "
+                  "else { p.put(h); continue; }\n"
+                  "    }\n"
+                  "    return 0;\n"
+                  "}\n");
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxownLeak, ContinueCarriesTheHandleToTheLoopExit)
+{
+    // The continue skips the put, and the loop may end right after it.
+    auto fs = run("int f(Pool &p, int n, bool c) {\n"
+                  "    auto h = p.acquire(4);\n"
+                  "    p.put(h);\n"
+                  "    while (n-- > 0) {\n"
+                  "        h = p.acquire(4);\n"
+                  "        if (c) continue;\n"
+                  "        p.put(h);\n"
+                  "    }\n"
+                  "    return 0;\n"
+                  "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-leak");
+}
+
 TEST(NxownLeak, ConditionMentioningHandleGuardsExits)
 {
     // `if (!r.accepted()) return -1;` — the analyzer cannot model the
@@ -213,6 +276,87 @@ TEST(NxownRelease, ReleaseOnOneBranchOnlyIsNotDouble)
                   "    return 0;\n"
                   "}\n");
     EXPECT_FALSE(fired(fs, "own-double-release")) << dump(fs);
+}
+
+TEST(NxownRelease, DoWhileBodyRunsTwice)
+{
+    auto fs = run("int f(Pool &p, int n) {\n"
+                  "    auto h = p.acquire(4);\n"
+                  "    do {\n"
+                  "        p.put(h);\n"
+                  "    } while (n-- > 0);\n"
+                  "    return 0;\n"
+                  "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-double-release");
+    EXPECT_EQ(fs[0].line, 9);
+}
+
+TEST(NxownRelease, DoubleReleaseInALaterSwitchCase)
+{
+    auto fs = run("int f(Pool &p, int k) {\n"
+                  "    auto h = p.acquire(4);\n"
+                  "    switch (k) {\n"
+                  "    case 0: p.put(h); break;\n"
+                  "    case 1: p.put(h); p.put(h); break;\n"
+                  "    default: p.put(h); break;\n"
+                  "    }\n"
+                  "    return 0;\n"
+                  "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-double-release");
+    EXPECT_EQ(fs[0].line, 10);
+}
+
+TEST(NxownRelease, BreakInsideACaseIsNotADoubleRelease)
+{
+    // The `if (c) break;` path reaches the last put still holding h.
+    auto fs = run("int f(Pool &p, int k, bool c) {\n"
+                  "    auto h = p.acquire(4);\n"
+                  "    switch (k) {\n"
+                  "    case 0: if (c) break; p.put(h); break;\n"
+                  "    default: p.put(h); break;\n"
+                  "    }\n"
+                  "    p.put(h);\n"
+                  "    return 0;\n"
+                  "}\n");
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxownRelease, ReacquiringLoopThatBreaksIsNotADoubleRelease)
+{
+    // The break leaves the loop holding the handle it just acquired.
+    auto fs = run("int f(Pool &p, int n, bool c) {\n"
+                  "    auto h = p.acquire(4);\n"
+                  "    p.put(h);\n"
+                  "    while (n-- > 0) {\n"
+                  "        h = p.acquire(4);\n"
+                  "        if (c) break;\n"
+                  "        p.put(h);\n"
+                  "    }\n"
+                  "    p.put(h);\n"
+                  "    return 0;\n"
+                  "}\n");
+    EXPECT_FALSE(fired(fs, "own-double-release")) << dump(fs);
+}
+
+TEST(NxownRelease, ReturnInsideALoopDoesNotReachTheCodeAfterIt)
+{
+    // Only the path that skips the loop reaches the last put, and on
+    // it h was already released.
+    auto fs = run("int f(Pool &p, int n) {\n"
+                  "    auto h = p.acquire(4);\n"
+                  "    p.put(h);\n"
+                  "    while (n-- > 0) {\n"
+                  "        h = p.acquire(4);\n"
+                  "        return h;\n"
+                  "    }\n"
+                  "    p.put(h);\n"
+                  "    return 0;\n"
+                  "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-double-release");
+    EXPECT_EQ(fs[0].line, 13);
 }
 
 TEST(NxownRelease, ReleaseAfterStdMoveIsReported)

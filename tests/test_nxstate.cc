@@ -321,6 +321,53 @@ TEST(NxstateCfg, SwitchCasesDoNotAccumulate)
     EXPECT_TRUE(fs.empty()) << dump(fs);
 }
 
+TEST(NxstateCfg, EveryCaseIsCheckedPastTheFirstBreak)
+{
+    // Each case starts from the switch head's state, so the double
+    // finish in case 1 is seen although case 0 ends in a break.
+    auto fs = run("void f(int k) {\n"
+                  "    Stream s;\n"
+                  "    switch (k) {\n"
+                  "    case 0: s.write(a); break;\n"
+                  "    case 1: s.write(b, Finish); s.write(c, Finish); break;\n"
+                  "    }\n"
+                  "}\n");
+    ASSERT_TRUE(fired(fs, "double-finish")) << dump(fs);
+    EXPECT_EQ(fs[0].line, 6);
+}
+
+TEST(NxstateCfg, SwitchWithDefaultFinishingInEveryCaseFinishes)
+{
+    // With a default label every path runs some case; without one the
+    // head's state also reaches the exit, so the write stays legal.
+    const std::string sw = "void f(int k) {\n"
+                           "    Stream s;\n"
+                           "    switch (k) {\n"
+                           "    case 0: s.write(a, Finish); break;\n";
+    const std::string tail = "    }\n"
+                             "    s.write(c);\n"
+                             "}\n";
+    auto fs = run(sw + "    default: s.write(b, Finish); break;\n" + tail);
+    EXPECT_TRUE(fired(fs, "use-after-finish")) << dump(fs);
+    fs = run(sw + "    case 1: s.write(b, Finish); break;\n" + tail);
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxstateCfg, BreakInsideACaseReachesTheCodeAfterTheSwitch)
+{
+    // The `if (c) break;` path leaves the switch unfinished, so the
+    // last write is legal on some path.
+    auto fs = run("void f(int k, bool c) {\n"
+                  "    Stream s;\n"
+                  "    switch (k) {\n"
+                  "    case 0: if (c) break; s.write(a, Finish); break;\n"
+                  "    default: s.write(b, Finish); break;\n"
+                  "    }\n"
+                  "    s.write(d);\n"
+                  "}\n");
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
 // ---------------------------------------------------------------------------
 // tickets
 // ---------------------------------------------------------------------------
@@ -432,6 +479,19 @@ TEST(NxstateLock, InvertedPairFires)
                   "};\n");
     ASSERT_TRUE(fired(fs, "lock-cycle")) << dump(fs);
     EXPECT_NE(fs[0].message.find("T::mu_"), std::string::npos)
+        << fs[0].message;
+}
+
+TEST(NxstateLock, InitializerListConstructorLocksAreQualified)
+{
+    // The constructor body is found through its initializer list, so
+    // its locks are X::a_ / X::b_ like g()'s and the pair inverts.
+    auto fs = run("struct X { X(int v); void g(); int v_; };\n"
+                  "X::X(int v) : v_(v) { MutexLock l1(a_); "
+                  "MutexLock l2(b_); }\n"
+                  "void X::g() { MutexLock l1(b_); MutexLock l2(a_); }\n");
+    ASSERT_TRUE(fired(fs, "lock-cycle")) << dump(fs);
+    EXPECT_NE(fs[0].message.find("X::a_"), std::string::npos)
         << fs[0].message;
 }
 

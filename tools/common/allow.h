@@ -13,9 +13,9 @@
  * longer suppresses anything is one too (rule `stale-allow`), unless
  * an allow(stale-allow) on the same lines excuses it.
  *
- * This file is the single implementation all four tools share; only
- * the tool tag ("nxlint", "nxdeps", "nxtaint", "nxstate") and the rule
- * table differ per caller.
+ * This file is the single implementation all five analyzers share;
+ * only the tool tag ("nxlint", "nxdeps", "nxtaint", "nxstate",
+ * "nxown") and the rule table differ per caller.
  */
 
 #ifndef NXSIM_COMMON_ALLOW_H

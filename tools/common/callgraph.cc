@@ -1,13 +1,14 @@
 /**
  * @file
- * Call-graph construction. See callgraph.h for the contract.
+ * Call-graph construction and the shared function finder. See
+ * callgraph.h for the contract.
  *
- * The function-body detector merges the two proven heuristics from the
- * analyzer family: nxtaint's backward walk that resolves constructor
- * initializer lists to the real parameter list, and nxstate's
- * class-context stack for in-class methods plus `X::f` out-of-line
- * qualification. Everything downstream (name, arity, return type,
- * call sites) hangs off the parameter-list parens those find.
+ * findFunctions walks back from each `{` to its parameter list (through
+ * constructor initializer lists) and keeps a class-context stack for
+ * in-class methods plus `X::f` out-of-line qualification. nxstate,
+ * nxtaint and the graph itself all find bodies through it; everything
+ * downstream (name, arity, return type, call sites) hangs off the
+ * parameter-list parens it finds.
  */
 
 #include "common/callgraph.h"
@@ -41,11 +42,23 @@ const std::set<std::string, std::less<>> kNotReturnType = {
     "const",    "static", "inline",   "virtual", "explicit",
     "constexpr", "friend", "typename", "mutable", "extern"};
 
+/** Index of the `operator` keyword naming the function whose
+ * parameter list opens at @p po (`operator==(`, `operator()(`), or
+ * t.size(). */
+size_t
+operatorBefore(const std::vector<Token> &t, size_t po)
+{
+    for (size_t k = po; k > 0 && po - k < 3 && t[k - 1].kind == Tok::Punct;
+         --k)
+        if (isIdent(t, k - 2, "operator"))
+            return k - 2;
+    return t.size();
+}
+
 /**
  * Does the `{` at @p braceIdx open a function body? On success @p po /
- * @p pc are the parameter-list parens. Ported from nxtaint (the
- * variant that walks constructor initializer lists back to the real
- * parameter list).
+ * @p pc are the parameter-list parens, found by walking constructor
+ * initializer lists back to the real parameter list.
  */
 bool
 startsFunctionBody(const std::vector<Token> &t, size_t braceIdx,
@@ -98,11 +111,11 @@ startsFunctionBody(const std::vector<Token> &t, size_t braceIdx,
             po = openIdx;
             if (po == 0)
                 return false;
-            const Token &h = t[po - 1];
-            if (h.kind != Tok::Ident)
-                // `](...)` lambda, `)(...)` function pointer, ...
-                return isPunct(t, po - 1, "]");
-            return kControlHeads.count(h.text) == 0;
+            if (isIdent(t, po - 1))
+                return kControlHeads.count(t[po - 1].text) == 0;
+            // `](...)` lambda or `operator()(...)`; not `)(...)`.
+            return isPunct(t, po - 1, "]") ||
+                   operatorBefore(t, po) != t.size();
         }
         return false;
     }
@@ -176,64 +189,16 @@ extractParams(const std::vector<Token> &t, FunctionDef &fn)
         parts.clear();
     fn.minArity = 0;
     for (const auto &[b, e] : parts) {
-        std::string name;
-        bool defaulted = false;
-        int depth = 0;
-        for (size_t i = b; i < e; ++i) {
-            if (isPunct(t, i, "(") || isPunct(t, i, "[") ||
-                isPunct(t, i, "{"))
-                ++depth;
-            else if (isPunct(t, i, ")") || isPunct(t, i, "]") ||
-                     isPunct(t, i, "}"))
-                --depth;
-            else if (depth == 0 && isPunct(t, i, "=")) {
-                defaulted = true;
-                break;
-            } else if (isIdent(t, i)) {
+        size_t eq =
+            findTopLevel(t, b, e, [&](size_t i) { return isPunct(t, i, "="); });
+        std::string name;   // the last identifier before any default
+        for (size_t i = b; i < eq; ++i)
+            if (isIdent(t, i))
                 name = t[i].text;
-            }
-        }
         fn.params.push_back(std::move(name));
-        if (!defaulted)
+        if (eq == e)
             ++fn.minArity;
     }
-}
-
-/** Dotted simple path ending at the `.`/`->` at @p dot, or "". */
-std::string
-receiverPath(const std::vector<Token> &t, size_t b, size_t dot)
-{
-    size_t i = dot;
-    size_t lo = dot;
-    while (i > b) {
-        --i;
-        if (isIdent(t, i)) {
-            lo = i;
-            if (i > b && (isPunct(t, i - 1, ".") ||
-                          isPunct(t, i - 1, "->") ||
-                          isPunct(t, i - 1, "::"))) {
-                --i;
-                continue;
-            }
-        }
-        break;
-    }
-    if (!isIdent(t, lo) || lo == dot)
-        return {};
-    if (lo > b && (isPunct(t, lo - 1, ")") || isPunct(t, lo - 1, "]")))
-        return {};
-    std::string s;
-    for (size_t k = lo; k < dot; ++k) {
-        if (isIdent(t, k))
-            s += t[k].text;
-        else if (isPunct(t, k, ".") || isPunct(t, k, "->"))
-            s += ".";
-        else if (isPunct(t, k, "::"))
-            s += "::";
-        else
-            return {};
-    }
-    return s;
 }
 
 void
@@ -306,6 +271,85 @@ localTypes(const std::vector<Token> &t, const FunctionDef &fn,
 
 } // namespace
 
+std::vector<FunctionDef>
+findFunctions(const std::vector<Token> &t, size_t fileIdx)
+{
+    std::vector<FunctionDef> out;
+    struct Frame
+    {
+        bool isClass;
+        std::string cls;
+    };
+    std::vector<Frame> stack;
+    std::string pendingClass;
+    for (size_t i = 0; i < t.size(); ++i) {
+        if (isIdent(t, i, "class") || isIdent(t, i, "struct")) {
+            // Not `enum class`, nor a template parameter or an
+            // elaborated type (`template <class T>`, `(struct stat *)`).
+            bool head = i == 0 || !(isIdent(t, i - 1, "enum") ||
+                                    isPunct(t, i - 1, "<") ||
+                                    isPunct(t, i - 1, ",") ||
+                                    isPunct(t, i - 1, "("));
+            if (head && isIdent(t, i + 1))
+                pendingClass = t[i + 1].text;
+            continue;
+        }
+        if (isPunct(t, i, ";")) {
+            pendingClass.clear();
+            continue;
+        }
+        if (isPunct(t, i, "}")) {
+            if (!stack.empty())
+                stack.pop_back();
+            continue;
+        }
+        if (!isPunct(t, i, "{"))
+            continue;
+        if (!pendingClass.empty()) {
+            stack.push_back({true, pendingClass});
+            pendingClass.clear();
+            continue;
+        }
+        size_t po = 0;
+        size_t pc = 0;
+        size_t m = t.size();
+        if (startsFunctionBody(t, i, po, pc))
+            m = matchForward(t, i, '{', '}');
+        if (m >= t.size()) {
+            stack.push_back({false, {}});
+            continue;
+        }
+        FunctionDef fn;
+        fn.fileIdx = fileIdx;
+        fn.paramOpen = po;
+        fn.paramClose = pc;
+        fn.bodyBegin = i;
+        fn.bodyEnd = m;
+        fn.line = t[i].line;
+        bool dtor = po >= 2 && isPunct(t, po - 2, "~");
+        size_t nameIdx = operatorBefore(t, po);
+        if (nameIdx == t.size() && isIdent(t, po - 1))
+            nameIdx = po - 1;
+        if (nameIdx < t.size()) {
+            fn.name = dtor ? "~" + t[nameIdx].text : t[nameIdx].text;
+            fn.nameIdx = nameIdx;
+            fn.line = t[nameIdx].line;
+            fn.cls = outOfLineClass(t, nameIdx, dtor);
+            fn.returnType = returnTypeBefore(t, nameIdx, dtor);
+        }
+        if (fn.cls.empty())
+            for (auto it = stack.rbegin(); it != stack.rend(); ++it)
+                if (it->isClass) {
+                    fn.cls = it->cls;
+                    break;
+                }
+        extractParams(t, fn);
+        out.push_back(std::move(fn));
+        i = m;    // bodies are consumed whole (lambdas stay inside)
+    }
+    return out;
+}
+
 CallGraph
 CallGraph::build(const std::vector<SourceFile> &files)
 {
@@ -328,80 +372,10 @@ CallGraph::build(std::vector<std::string> paths,
     g.paths_ = std::move(paths);
     g.toks_ = std::move(merged);
 
-    // Pass 1: find every function definition, with class context.
-    for (size_t fi = 0; fi < g.toks_.size(); ++fi) {
-        const std::vector<Token> &t = g.toks_[fi];
-        struct Frame
-        {
-            bool isClass;
-            std::string cls;
-        };
-        std::vector<Frame> stack;
-        std::string pendingClass;
-        for (size_t i = 0; i < t.size(); ++i) {
-            if (isIdent(t, i, "class") || isIdent(t, i, "struct")) {
-                if (i > 0 && isIdent(t, i - 1, "enum"))
-                    continue;
-                if (isIdent(t, i + 1))
-                    pendingClass = t[i + 1].text;
-                continue;
-            }
-            if (isPunct(t, i, ";")) {
-                pendingClass.clear();
-                continue;
-            }
-            if (isPunct(t, i, "}")) {
-                if (!stack.empty())
-                    stack.pop_back();
-                continue;
-            }
-            if (!isPunct(t, i, "{"))
-                continue;
-            if (!pendingClass.empty()) {
-                stack.push_back({true, pendingClass});
-                pendingClass.clear();
-                continue;
-            }
-            size_t po = 0;
-            size_t pc = 0;
-            if (!startsFunctionBody(t, i, po, pc)) {
-                stack.push_back({false, {}});
-                continue;
-            }
-            size_t m = matchForward(t, i, '{', '}');
-            if (m >= t.size()) {
-                stack.push_back({false, {}});
-                continue;
-            }
-            FunctionDef fn;
-            fn.fileIdx = fi;
-            fn.paramOpen = po;
-            fn.paramClose = pc;
-            fn.bodyBegin = i;
-            fn.bodyEnd = m;
-            bool named = po > 0 && isIdent(t, po - 1);
-            if (named) {
-                bool dtor = po >= 2 && isPunct(t, po - 2, "~");
-                size_t nameIdx = po - 1;
-                fn.name = dtor ? "~" + t[nameIdx].text : t[nameIdx].text;
-                fn.nameIdx = nameIdx;
-                fn.line = t[nameIdx].line;
-                fn.cls = outOfLineClass(t, nameIdx, dtor);
-                if (fn.cls.empty())
-                    for (auto it = stack.rbegin(); it != stack.rend();
-                         ++it)
-                        if (it->isClass) {
-                            fn.cls = it->cls;
-                            break;
-                        }
-                fn.returnType = returnTypeBefore(t, nameIdx, dtor);
-                extractParams(t, fn);
-                if (fn.name != "operator")
-                    g.fns_.push_back(std::move(fn));
-            }
-            i = m;    // bodies are consumed whole (lambdas stay inside)
-        }
-    }
+    for (size_t fi = 0; fi < g.toks_.size(); ++fi)
+        for (FunctionDef &fn : findFunctions(g.toks_[fi], fi))
+            if (!fn.name.empty() && fn.name != "operator")
+                g.fns_.push_back(std::move(fn));
 
     // Pass 2: call sites per function.
     g.calls_.resize(g.fns_.size());

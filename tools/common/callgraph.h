@@ -9,9 +9,10 @@
  * What it extracts, entirely at token level (no compiler frontend,
  * same philosophy as the analyzers that consume it):
  *
- *  - Function definitions: free functions, in-class methods (with the
- *    enclosing-class stack tracked through nested classes), and
- *    out-of-line `X::f(...)` definitions. Each definition records its
+ *  - Function definitions (findFunctions): free functions, in-class
+ *    methods (with the enclosing-class stack tracked through nested
+ *    classes), and out-of-line `X::f(...)` definitions; the graph
+ *    indexes the named ones. Each definition records its
  *    parameter-list and body token ranges, parameter names, arity
  *    bounds (default arguments lower the minimum), and the return
  *    type identifier nearest the name.
@@ -45,15 +46,16 @@
 
 namespace nxcommon {
 
-/** One function definition found in the token stream. */
+/** One function body found in the token stream. */
 struct FunctionDef
 {
-    std::string name;        ///< unqualified; "~X" for destructors
-    std::string cls;         ///< enclosing class, "" for free functions
+    std::string name;        ///< unqualified; "~X" for a destructor, "" for
+                             ///< a lambda, "operator" for an operator
+    std::string cls;         ///< owning class, "" for free functions
     std::string returnType;  ///< nearest type identifier, "" if unknown
     size_t fileIdx = 0;      ///< index into the analyzed file list
-    int line = 0;            ///< line of the function name
-    size_t nameIdx = 0;      ///< token index of the name ("" if none)
+    int line = 0;            ///< line of the name (of the `{` if unnamed)
+    size_t nameIdx = 0;      ///< token index of the name (0 if unnamed)
     size_t paramOpen = 0;    ///< `(` of the parameter list
     size_t paramClose = 0;   ///< matching `)`
     size_t bodyBegin = 0;    ///< `{` of the body
@@ -74,6 +76,19 @@ struct CallSite
     /** Argument token ranges (into the owning file's merged tokens). */
     std::vector<std::pair<size_t, size_t>> args;
 };
+
+/**
+ * Every function body in one file's merged tokens, in token order: a
+ * `{` whose backward context resolves (through trailing qualifiers, a
+ * trailing return type, or a constructor initializer list) to a
+ * parameter list. Named functions, operators and namespace-scope
+ * lambdas all count; lambdas inside a body stay part of that body.
+ * `cls` is the `X::` qualifier of an out-of-line definition, else the
+ * innermost enclosing class. The one function finder every analyzer
+ * uses.
+ */
+std::vector<FunctionDef> findFunctions(const std::vector<nxlex::Token> &t,
+                                       size_t fileIdx);
 
 /** The graph. Build once per analysis run, read from everywhere. */
 class CallGraph

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared diagnostic types for the analyzer family (nxlint, nxdeps,
- * nxtaint, nxstate). Every tool reports the same Finding shape, prints
+ * nxtaint, nxstate, nxown). Every tool reports the same Finding shape, prints
  * it the same way (`file:line: rule-id: message`), and serializes it
  * to the same JSON schema, so CI consumes one format no matter which
  * pass produced the finding.

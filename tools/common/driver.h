@@ -3,9 +3,9 @@
  * The one CLI driver behind every analyzer binary. Each tool's main.cc
  * is a thin ToolSpec: the rule table, the analysis callbacks, and any
  * tool-specific modes (--dot, --layers). The driver owns everything
- * the four binaries used to duplicate — argument parsing, file
- * loading, `--format=json|text`, `--list-rules`, and the exit-code
- * convention:
+ * the five binaries would otherwise duplicate — argument parsing, file
+ * loading, `--format=text|json|sarif`, `--list-rules`, the usage line
+ * (which lists the modes itself), and the exit-code convention:
  *
  *   0  clean
  *   1  findings
@@ -19,9 +19,9 @@
  *                                 drives with `git diff --name-only` output
  *
  * Per-file tools (nxlint, nxtaint) analyze listed files in isolation.
- * Whole-tree tools (nxdeps, nxstate — their checks need the global
- * graph) analyze the tree at --root (default ".") and report only the
- * findings landing in the listed files.
+ * Whole-tree tools (nxdeps, nxstate, nxown — their checks need the
+ * global graph) analyze the tree at --root (default ".") and report
+ * only the findings landing in the listed files.
  */
 
 #ifndef NXSIM_COMMON_DRIVER_H
@@ -40,7 +40,8 @@ namespace nxcommon {
 struct ToolSpec
 {
     std::string name;           ///< binary name for messages ("nxlint")
-    std::string usageArgs;      ///< usage tail, e.g. "[<repo-root> | <file>...]"
+    std::string usageArgs;      ///< usage tail after the modes, e.g.
+                                ///< "[<repo-root> | <file>...]"
     const std::vector<RuleInfo> *rules = nullptr;
 
     /** Analyze one in-memory file (per-file tools); leave empty for

@@ -1,9 +1,9 @@
 /**
  * @file
  * The shared C++ tokenizer behind the project's static-analysis
- * tools: nxlint, nxdeps, nxtaint and nxstate all lex with this one
- * class, so every pass agrees byte-for-byte on what is a comment, a
- * string literal, or code.
+ * tools: all five analyzers lex with this one class (nxdeps reads its
+ * includes from the Pp tokens), so every pass agrees byte-for-byte on
+ * what is a comment, a string literal, a directive, or code.
  *
  * It is deliberately a lexer and nothing more: comments, string/char
  * literals (raw strings included), numbers, identifiers and whole

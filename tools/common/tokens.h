@@ -1,11 +1,13 @@
 /**
  * @file
  * Token-stream helpers shared by the statement-level analyzers
- * (nxtaint, nxstate). The lexer (common/lexer.h) emits one Punct token
- * per character; analyses that care about `<<` vs `<` or `->` vs `-`
- * run their token stream through mergeOperators() first, which also
- * drops comments and preprocessor directives (suppressions are
- * harvested from the raw stream before that).
+ * (nxtaint, nxstate, nxown) and the call graph: bracket matching, the
+ * top-level token search, argument splitting, and the one spelling of a
+ * simple path (`a.b->c` as "a.b.c"). The lexer (common/lexer.h) emits
+ * one Punct token per character; analyses that care about `<<` vs `<`
+ * or `->` vs `-` run their token stream through mergeOperators() first,
+ * which also drops comments and preprocessor directives (suppressions
+ * are harvested from the raw stream before that).
  */
 
 #ifndef NXSIM_COMMON_TOKENS_H
@@ -146,6 +148,76 @@ matchBackward(const std::vector<nxlex::Token> &t, size_t i, char open,
     return t.size();
 }
 
+/**
+ * Dotted form of the simple path [b, e): identifiers joined by `.`
+ * (`->` spelled `.`) and `::`, so `r -> ticket` becomes "r.ticket".
+ * "" when the range holds anything else (`v[i]`, `f()`, `*p`).
+ */
+inline std::string
+simplePath(const std::vector<nxlex::Token> &t, size_t b, size_t e)
+{
+    std::string s;
+    for (size_t i = b; i < e; ++i) {
+        if (isIdent(t, i))
+            s += t[i].text;
+        else if (isPunct(t, i, ".") || isPunct(t, i, "->"))
+            s += ".";
+        else if (isPunct(t, i, "::"))
+            s += "::";
+        else
+            return {};
+    }
+    return s;
+}
+
+/**
+ * Receiver of the member call whose `.`/`->` sits at @p dot, looking
+ * no further left than @p b: the simple path ending there, or "" for
+ * complex receivers (`tickets[i].wait()`, `make().x`).
+ */
+inline std::string
+receiverPath(const std::vector<nxlex::Token> &t, size_t b, size_t dot)
+{
+    size_t i = dot;
+    size_t lo = dot;
+    while (i > b) {
+        --i;
+        if (isIdent(t, i)) {
+            lo = i;
+            if (i > b && (isPunct(t, i - 1, ".") || isPunct(t, i - 1, "->") ||
+                          isPunct(t, i - 1, "::"))) {
+                --i;
+                continue;
+            }
+        }
+        break;
+    }
+    if (!isIdent(t, lo) || lo == dot)
+        return {};
+    if (lo > b && (isPunct(t, lo - 1, ")") || isPunct(t, lo - 1, "]")))
+        return {};
+    return simplePath(t, lo, dot);
+}
+
+/** First index in [i, e) at bracket depth 0 where @p at holds, or
+ * @p e; brackets themselves are never tested. */
+template <typename Pred>
+size_t
+findTopLevel(const std::vector<nxlex::Token> &t, size_t i, size_t e, Pred at)
+{
+    int depth = 0;
+    for (; i < e; ++i) {
+        if (isPunct(t, i, "(") || isPunct(t, i, "[") || isPunct(t, i, "{"))
+            ++depth;
+        else if (isPunct(t, i, ")") || isPunct(t, i, "]") ||
+                 isPunct(t, i, "}"))
+            --depth;
+        else if (depth == 0 && at(i))
+            return i;
+    }
+    return e;
+}
+
 /** Split [b, e) into top-level comma-separated argument ranges. */
 inline void
 splitArgs(const std::vector<nxlex::Token> &t, size_t b, size_t e,
@@ -153,21 +225,10 @@ splitArgs(const std::vector<nxlex::Token> &t, size_t b, size_t e,
 {
     if (b >= e)
         return;
-    int depth = 0;
-    size_t start = b;
-    for (size_t i = b; i < e; ++i) {
-        if (isPunct(t, i, "(") || isPunct(t, i, "[") || isPunct(t, i, "{"))
-            ++depth;
-        else if (isPunct(t, i, ")") || isPunct(t, i, "]") ||
-                 isPunct(t, i, "}"))
-            --depth;
-        else if (depth == 0 && isPunct(t, i, ","))
-        {
-            args.emplace_back(start, i);
-            start = i + 1;
-        }
-    }
-    args.emplace_back(start, e);
+    auto comma = [&](size_t i) { return isPunct(t, i, ","); };
+    for (size_t c; (c = findTopLevel(t, b, e, comma)) != e; b = c + 1)
+        args.emplace_back(b, c);
+    args.emplace_back(b, e);
 }
 
 } // namespace nxcommon

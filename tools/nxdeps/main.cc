@@ -1,11 +1,11 @@
 /**
  * @file
  * nxdeps CLI — a thin ToolSpec over the shared analyzer driver
- * (tools/common/driver.h owns argument parsing, --format=json, file
+ * (tools/common/driver.h owns argument parsing, --format=json/sarif, file
  * lists and the 0/1/2 exit-code convention).
  *
  * Usage:
- *   nxdeps [--list-rules] [--layers] [--dot] [--format=text|json]
+ *   nxdeps [--list-rules] [--format=text|json|sarif] [--dot] [--layers]
  *          [--root=<dir>] [<repo-root> | <file>...]
  *
  * nxdeps is a whole-tree tool: its checks need the global include
@@ -27,8 +27,7 @@ main(int argc, char **argv)
 {
     nxcommon::ToolSpec spec;
     spec.name = "nxdeps";
-    spec.usageArgs =
-        "[--layers] [--dot] [--root=<dir>] [<repo-root> | <file>...]";
+    spec.usageArgs = "[--root=<dir>] [<repo-root> | <file>...]";
     spec.rules = &nxdeps::rules();
     spec.analyzeTree = [](const std::string &root) {
         return nxdeps::analyzeTree(root).findings;

@@ -1,16 +1,16 @@
 /**
  * @file
- * nxdeps implementation: a line-level scanner (comments and string
- * literals stripped, so a quoted `#include` never counts), an include
- * resolver that mirrors the project's CMake include roots, and graph
- * checks over the result. Zero dependencies beyond the standard
- * library, same as nxlint, so it runs on every ctest invocation.
+ * nxdeps implementation: quoted includes read from the shared lexer's
+ * directive tokens (so an `#include` in a comment or string never
+ * counts), an include resolver that mirrors the project's CMake include
+ * roots, and graph checks over the result. Zero dependencies beyond the
+ * standard library, same as nxlint, so it runs on every ctest
+ * invocation.
  */
 
 #include "nxdeps/nxdeps.h"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <set>
 #include <sstream>
@@ -73,91 +73,8 @@ rankOf(std::string_view module)
 }
 
 // ---------------------------------------------------------------------------
-// Line scanner
+// Include extraction
 // ---------------------------------------------------------------------------
-
-std::string_view
-trim(std::string_view v)
-{
-    while (!v.empty() &&
-           std::isspace(static_cast<unsigned char>(v.front())))
-        v.remove_prefix(1);
-    while (!v.empty() && std::isspace(static_cast<unsigned char>(v.back())))
-        v.remove_suffix(1);
-    return v;
-}
-
-/**
- * Split a file into per-line code streams (comments and block comments
- * stripped). String/char literals stay in the code stream — the
- * include target itself is a quoted string — but are tracked so a `//`
- * or a quote inside one never opens a comment. Directives are
- * recognized only at line start, so a directive quoted inside code
- * never parses as one. (Suppression comments are NOT parsed here: the
- * shared token-based collector in tools/common/allow.h owns that.)
- */
-std::vector<std::string>
-scanLines(std::string_view content)
-{
-    std::vector<std::string> lines;
-    std::string cur;
-    bool inBlock = false;
-    bool inLine = false;
-    bool inStr = false;
-    bool inChr = false;
-    for (size_t i = 0; i < content.size(); ++i) {
-        char c = content[i];
-        char next = i + 1 < content.size() ? content[i + 1] : '\0';
-        if (c == '\n') {
-            lines.push_back(std::move(cur));
-            cur.clear();
-            inLine = false;
-            inStr = false;    // unterminated literal: keep lines sane
-            inChr = false;
-            continue;
-        }
-        if (inLine) {
-            // comment text: ignored
-        } else if (inBlock) {
-            if (c == '*' && next == '/') {
-                inBlock = false;
-                ++i;
-            }
-        } else if (inStr) {
-            cur += c;
-            if (c == '\\' && next != '\0') {
-                cur += next;
-                ++i;
-            } else if (c == '"') {
-                inStr = false;
-            }
-        } else if (inChr) {
-            cur += c;
-            if (c == '\\' && next != '\0') {
-                cur += next;
-                ++i;
-            } else if (c == '\'') {
-                inChr = false;
-            }
-        } else if (c == '/' && next == '/') {
-            inLine = true;
-            ++i;
-        } else if (c == '/' && next == '*') {
-            inBlock = true;
-            ++i;
-        } else if (c == '"') {
-            inStr = true;
-            cur += c;
-        } else if (c == '\'') {
-            inChr = true;
-            cur += c;
-        } else {
-            cur += c;
-        }
-    }
-    lines.push_back(std::move(cur));
-    return lines;
-}
 
 struct Include
 {
@@ -166,28 +83,27 @@ struct Include
 };
 
 /**
- * Parse one file's quoted includes (string-literal stripping above
- * leaves the directive's own quotes in the code stream).
+ * One file's quoted includes, read from the shared lexer's directive
+ * (Pp) tokens: an `#include` inside a comment or a string literal is
+ * not a directive, so it never counts.
  */
 std::vector<Include>
-scanIncludes(std::string_view content)
+quotedIncludes(const std::vector<nxlex::Token> &toks)
 {
     std::vector<Include> out;
-    std::vector<std::string> lines = scanLines(content);
-    for (size_t n = 0; n < lines.size(); ++n) {
-        int lineNo = static_cast<int>(n) + 1;
-        std::string_view code = trim(lines[n]);
-        if (code.rfind("#", 0) != 0)
+    for (const nxlex::Token &tk : toks) {
+        if (tk.kind != nxlex::Tok::Pp)
             continue;
-        std::string_view rest = trim(code.substr(1));
+        std::string_view rest =
+            nxlex::trim(std::string_view(tk.text).substr(1));
         if (rest.rfind("include", 0) != 0)
             continue;
-        rest = trim(rest.substr(7));
+        rest = nxlex::trim(rest.substr(7));
         if (rest.empty() || rest.front() != '"')
             continue;
         size_t close = rest.find('"', 1);
         if (close != std::string_view::npos)
-            out.push_back({std::string(rest.substr(1, close - 1)), lineNo});
+            out.push_back({std::string(rest.substr(1, close - 1)), tk.line});
     }
     return out;
 }
@@ -405,12 +321,11 @@ analyzeFiles(const std::vector<SourceFile> &files)
     std::vector<std::vector<nxcommon::Allow>> allows(files.size());
     std::vector<Finding> raw;
     for (size_t i : order) {
-        scanned[i] = scanIncludes(files[i].content);
-        // Suppressions come from the shared token-based collector so
-        // the grammar (and bare-allow / stale-allow semantics) is
-        // byte-for-byte the same across all four analyzers.
+        // One lexer pass gives both the includes and the suppressions
+        // (the shared allow() grammar every analyzer uses).
         std::vector<nxlex::Token> toks =
             nxlex::Lexer(files[i].content).run();
+        scanned[i] = quotedIncludes(toks);
         allows[i] = nxcommon::collectAllows(toks, "nxdeps", kRules, raw,
                                             files[i].path);
     }

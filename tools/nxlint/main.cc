@@ -1,11 +1,12 @@
 /**
  * @file
  * nxlint CLI — a thin ToolSpec over the shared analyzer driver
- * (tools/common/driver.h owns argument parsing, --format=json, file
+ * (tools/common/driver.h owns argument parsing, --format=json/sarif, file
  * lists and the 0/1/2 exit-code convention).
  *
  * Usage:
- *   nxlint [--list-rules] [--format=text|json] [<repo-root> | <file>...]
+ *   nxlint [--list-rules] [--format=text|json|sarif]
+ *          [<repo-root> | <file>...]
  *
  * With a directory argument (default: the current directory) the tool
  * lints every *.h / *.cc under its src/, tools/, fuzz/ and bench/

@@ -2,7 +2,7 @@
  * @file
  * nxlint implementation: token-pattern rules over the shared analyzer
  * engine (tools/common/ — one lexer, one allow() grammar, one tree
- * walker for the whole nxlint/nxdeps/nxtaint/nxstate family). The
+ * walker for all five analyzers). The
  * lexer understands comments, string/char literals (raw strings
  * included), numbers and preprocessor lines — enough that a banned
  * identifier inside a string or comment never fires, and a

@@ -16,9 +16,12 @@
  *      derive per-function facts: returns-a-held-handle (the helper
  *      acts as an acquirer at its call sites), releases-its-parameter
  *      (the helper consumes the caller's handle), drains-a-tag.
- *   3. Walk — each function body as a CFG (if/else fork+join, loop
- *      bodies twice, early returns terminate a path), tracking each
- *      bound handle's possible-state set {Held, Released, Moved}.
+ *   3. Walk — each function body with the shared CFG walker
+ *      (common/cfg_walk.h: if/else fork+join, loop bodies twice, each
+ *      switch case from the head, break/continue carry their state to
+ *      their loop or switch, early returns terminate a path),
+ *      tracking each bound handle's possible-state set {Held,
+ *      Released, Moved}.
  *      Leaks are exists-path (any exit that can still hold fires);
  *      double-release / release-after-transfer are must (every
  *      possible state agrees) so branchy code never yields
@@ -42,6 +45,7 @@
 
 #include "common/allow.h"
 #include "common/callgraph.h"
+#include "common/cfg_walk.h"
 #include "common/tokens.h"
 
 namespace nxown {
@@ -51,11 +55,13 @@ namespace {
 using nxcommon::Allow;
 using nxcommon::CallGraph;
 using nxcommon::CallSite;
+using nxcommon::findTopLevel;
 using nxcommon::FunctionDef;
 using nxcommon::isIdent;
 using nxcommon::isPunct;
 using nxcommon::matchBackward;
 using nxcommon::matchForward;
+using nxcommon::simplePath;
 using nxcommon::splitArgs;
 using nxlex::Token;
 
@@ -307,22 +313,6 @@ struct Handle
 
 using PathState = std::map<std::string, Handle>;
 
-PathState
-joinState(const PathState &a, const PathState &b)
-{
-    PathState out = a;
-    for (const auto &kv : b) {
-        auto it = out.find(kv.first);
-        if (it == out.end()) {
-            out.insert(kv);
-        } else {
-            it->second.states |= kv.second.states;
-            it->second.guarded = it->second.guarded || kv.second.guarded;
-        }
-    }
-    return out;
-}
-
 class Walk
 {
   public:
@@ -345,204 +335,63 @@ class Walk
         if (fn_.bodyEnd <= fn_.bodyBegin)
             return false;
         PathState st;
-        if (!walk(fn_.bodyBegin + 1, fn_.bodyEnd, st))
+        if (!nxcommon::CfgWalk<Walk>(t_, *this)
+                 .walk(fn_.bodyBegin + 1, fn_.bodyEnd, st))
             leakCheck(st);
         return sumChanged_;
     }
 
-  private:
-    // -- CFG skeleton (same shape as nxstate's BodyCheck) -----------------
+    // -- the analysis, as nxcommon::CfgWalk's hooks ---------------------
 
-    bool
-    walk(size_t b, size_t e, PathState &st)
+    using State = PathState;
+
+    static PathState
+    join(const PathState &a, const PathState &b)
     {
-        bool terminated = false;
-        size_t i = b;
-        while (i < e && !terminated)
-            i = step(i, e, st, &terminated);
-        return terminated;
+        PathState out = a;
+        for (const auto &kv : b) {
+            auto it = out.find(kv.first);
+            if (it == out.end()) {
+                out.insert(kv);
+            } else {
+                it->second.states |= kv.second.states;
+                it->second.guarded = it->second.guarded || kv.second.guarded;
+            }
+        }
+        return out;
     }
 
-    size_t
-    step(size_t i, size_t e, PathState &st, bool *terminated)
+    /** `return h` hands the handle to the caller; every other exit is
+     * checked for leaks. A throw's operand is just evaluated. */
+    void
+    exit(size_t kw, size_t e, PathState &st)
     {
-        const std::vector<Token> &t = t_;
-        if (isPunct(t, i, "{")) {
-            size_t close = matchForward(t, i, '{', '}');
-            if (walk(i + 1, std::min(close, e), st))
-                *terminated = true;
-            return close + 1;
+        if (isIdent(t_, kw, "throw")) {
+            statement(kw + 1, e, st);
+            return;
         }
-        if (isPunct(t, i, ";") || isPunct(t, i, ":"))
-            return i + 1;
-        if (isIdent(t, i, "if")) {
-            size_t cOpen = i + 1;
-            if (isIdent(t, cOpen, "constexpr"))
-                ++cOpen;
-            if (!isPunct(t, cOpen, "("))
-                return i + 1;
-            size_t cClose = matchForward(t, cOpen, '(', ')');
-            processCond(cOpen + 1, cClose, st);
-            PathState thenSt = st;
-            bool thenTerm = false;
-            size_t k = step(cClose + 1, e, thenSt, &thenTerm);
-            if (isIdent(t, k, "else")) {
-                PathState elseSt = st;
-                bool elseTerm = false;
-                k = step(k + 1, e, elseSt, &elseTerm);
-                if (thenTerm && elseTerm)
-                    *terminated = true;
-                else if (thenTerm)
-                    st = std::move(elseSt);
-                else if (elseTerm)
-                    st = std::move(thenSt);
-                else
-                    st = joinState(thenSt, elseSt);
-            } else if (!thenTerm) {
-                st = joinState(st, thenSt);
-            }
-            return k;
-        }
-        if (isIdent(t, i, "for") || isIdent(t, i, "while")) {
-            if (!isPunct(t, i + 1, "("))
-                return i + 1;
-            size_t cClose = matchForward(t, i + 1, '(', ')');
-            processCond(i + 2, cClose, st);
-            PathState once = st;
-            bool bodyTerm = false;
-            size_t k = step(cClose + 1, e, once, &bodyTerm);
-            if (!bodyTerm) {
-                PathState twice = once;
-                bool term2 = false;
-                step(cClose + 1, e, twice, &term2);
-                once = joinState(once, twice);
-            }
-            st = joinState(st, once);
-            return k;
-        }
-        if (isIdent(t, i, "do")) {
-            bool bodyTerm = false;
-            size_t k = step(i + 1, e, st, &bodyTerm);
-            if (isIdent(t, k, "while") && isPunct(t, k + 1, "(")) {
-                size_t cClose = matchForward(t, k + 1, '(', ')');
-                processCond(k + 2, cClose, st);
-                k = cClose + 1;
-                if (isPunct(t, k, ";"))
-                    ++k;
-            }
-            return k;
-        }
-        if (isIdent(t, i, "switch") && isPunct(t, i + 1, "(")) {
-            size_t cClose = matchForward(t, i + 1, '(', ')');
-            processCond(i + 2, cClose, st);
-            if (!isPunct(t, cClose + 1, "{"))
-                return cClose + 1;
-            size_t bClose = matchForward(t, cClose + 1, '{', '}');
-            PathState body = st;
-            walk(cClose + 2, bClose, body); // linear approximation
-            st = joinState(st, body);
-            return bClose + 1;
-        }
-        if (isIdent(t, i, "case") || isIdent(t, i, "default")) {
-            while (i < e && !isPunct(t, i, ":"))
-                ++i;
-            return i + 1;
-        }
-        if (isIdent(t, i, "return") || isIdent(t, i, "co_return"))
-            return handleReturn(i, e, st, terminated);
-        if (isIdent(t, i, "throw")) {
-            size_t semi = findSemi(i + 1, e);
-            processRange(i + 1, semi, st);
-            *terminated = true;
-            return semi + 1;
-        }
-        if (isIdent(t, i, "break") || isIdent(t, i, "continue") ||
-            isIdent(t, i, "goto")) {
-            size_t semi = findSemi(i, e);
-            *terminated = true;
-            return semi + 1;
-        }
-        if (isIdent(t, i, "try") || isIdent(t, i, "else"))
-            return i + 1;
-        if (isIdent(t, i, "catch") && isPunct(t, i + 1, "(")) {
-            size_t cClose = matchForward(t, i + 1, '(', ')');
-            PathState cSt = st;
-            bool cTerm = false;
-            size_t k = step(cClose + 1, e, cSt, &cTerm);
-            if (!cTerm)
-                st = joinState(st, cSt);
-            return k;
-        }
-        size_t semi = findSemi(i, e);
-        processRange(i, semi, st);
-        return semi + 1;
-    }
-
-    /** First depth-0 `;` at or after @p i (depth over () [] {}). */
-    size_t
-    findSemi(size_t i, size_t e) const
-    {
-        int depth = 0;
-        for (; i < e; ++i) {
-            if (isPunct(t_, i, "(") || isPunct(t_, i, "[") ||
-                isPunct(t_, i, "{"))
-                ++depth;
-            else if (isPunct(t_, i, ")") || isPunct(t_, i, "]") ||
-                     isPunct(t_, i, "}"))
-                --depth;
-            else if (depth == 0 && isPunct(t_, i, ";"))
-                return i;
-        }
-        return e;
-    }
-
-    // -- Statement semantics ----------------------------------------------
-
-    size_t
-    handleReturn(size_t i, size_t e, PathState &st, bool *terminated)
-    {
-        size_t semi = findSemi(i + 1, e);
-        if (sum_ != nullptr && i + 1 < semi)
-            recordReturn(i + 1, semi, st);
-        std::string path = simplePath(i + 1, semi);
-        auto it = st.find(rootOf(path));
+        if (sum_ != nullptr && kw + 1 < e)
+            recordReturn(kw + 1, e, st);
+        auto it = st.find(rootOf(simplePath(t_, kw + 1, e)));
         if (it != st.end())
             it->second.states = kMoved; // returned to the caller
         else
-            processRange(i + 1, semi, st);
-        *terminated = true;
+            statement(kw + 1, e, st);
         leakCheck(st);
-        return semi + 1;
     }
 
     /** Condition range: evaluate side effects, then mark every handle
      * the condition mentions as conditional — the analyzer cannot
      * model the predicate, so exits stop counting as leaks. */
     void
-    processCond(size_t b, size_t e, PathState &st)
+    condition(size_t b, size_t e, PathState &st)
     {
-        processRange(b, e, st);
+        statement(b, e, st);
         guardMentions(b, e, st);
     }
 
     void
-    guardMentions(size_t b, size_t e, PathState &st)
-    {
-        for (size_t i = b; i < e && i < t_.size(); ++i) {
-            if (!isIdent(t_, i))
-                continue;
-            if (i > 0 && (isPunct(t_, i - 1, ".") ||
-                          isPunct(t_, i - 1, "->") ||
-                          isPunct(t_, i - 1, "::")))
-                continue; // member/qualified name, not the handle
-            auto it = st.find(t_[i].text);
-            if (it != st.end())
-                it->second.guarded = true;
-        }
-    }
-
-    void
-    processRange(size_t b, size_t e, PathState &st)
+    statement(size_t b, size_t e, PathState &st)
     {
         if (b >= e)
             return;
@@ -561,36 +410,43 @@ class Walk
         }
     }
 
+  private:
+    void
+    guardMentions(size_t b, size_t e, PathState &st)
+    {
+        for (size_t i = b; i < e && i < t_.size(); ++i) {
+            if (!isIdent(t_, i))
+                continue;
+            if (i > 0 && (isPunct(t_, i - 1, ".") ||
+                          isPunct(t_, i - 1, "->") ||
+                          isPunct(t_, i - 1, "::")))
+                continue; // member/qualified name, not the handle
+            auto it = st.find(t_[i].text);
+            if (it != st.end())
+                it->second.guarded = true;
+        }
+    }
+
     /** Track `var = ...acquire...` — the only binding shape followed.
      * An acquire result that is never bound escapes untracked (the
      * no-false-positive direction). */
     void
     bindAcquire(size_t b, size_t e, PathState &st)
     {
-        int depth = 0;
-        for (size_t i = b; i < e; ++i) {
-            if (isPunct(t_, i, "(") || isPunct(t_, i, "[") ||
-                isPunct(t_, i, "{"))
-                ++depth;
-            else if (isPunct(t_, i, ")") || isPunct(t_, i, "]") ||
-                     isPunct(t_, i, "}"))
-                --depth;
-            else if (depth == 0 && isPunct(t_, i, "=")) {
-                if (i > b && isIdent(t_, i - 1)) {
-                    std::string tag, what;
-                    bool raii = false;
-                    if (findAcquire(i + 1, e, tag, raii, what)) {
-                        Handle h;
-                        h.tag = tag;
-                        h.raii = raii;
-                        h.what = what;
-                        h.line = t_[i - 1].line;
-                        st[t_[i - 1].text] = std::move(h);
-                    }
-                }
-                return;
-            }
-        }
+        size_t i = findTopLevel(t_, b, e,
+                                [&](size_t k) { return isPunct(t_, k, "="); });
+        if (i == e || i == b || !isIdent(t_, i - 1))
+            return;
+        std::string tag, what;
+        bool raii = false;
+        if (!findAcquire(i + 1, e, tag, raii, what))
+            return;
+        Handle h;
+        h.tag = tag;
+        h.raii = raii;
+        h.what = what;
+        h.line = t_[i - 1].line;
+        st[t_[i - 1].text] = std::move(h);
     }
 
     /** Is there an acquiring call in [b, e)? Annotated acquire
@@ -635,7 +491,8 @@ class Walk
 
         if (name == "move") { // std::move — explicit hand-off
             if (!args.empty()) {
-                auto it = st.find(rootOf(simplePath(args[0])));
+                auto it = st.find(
+                    rootOf(simplePath(t_, args[0].first, args[0].second)));
                 if (it != st.end())
                     it->second.states = kMoved;
             }
@@ -651,7 +508,7 @@ class Walk
         auto tr = tables_.transfers.find(name);
         if (tr != tables_.transfers.end()) {
             for (const auto &a : args) {
-                std::string p = simplePath(a);
+                std::string p = simplePath(t_, a.first, a.second);
                 auto it = st.find(rootOf(p));
                 if (it != st.end() && it->second.tag == tr->second)
                     it->second.states = kMoved;
@@ -667,7 +524,8 @@ class Walk
             for (const auto &[p, tag] : s.consumes) {
                 if (p >= cs->args.size())
                     continue;
-                std::string root = rootOf(simplePath(cs->args[p]));
+                std::string root = rootOf(
+                    simplePath(t_, cs->args[p].first, cs->args[p].second));
                 auto it = st.find(root);
                 if (it != st.end() && it->second.tag == tag)
                     release(it->first, it->second, t_[i].line);
@@ -687,7 +545,7 @@ class Walk
         // a finding. Only explicit transfers (std::move, `return h`,
         // NXSIM_TRANSFERS callees) move strongly.
         for (const auto &a : args) {
-            std::string p = simplePath(a);
+            std::string p = simplePath(t_, a.first, a.second);
             if (p.empty())
                 continue;
             auto it = st.find(rootOf(p));
@@ -722,7 +580,7 @@ class Walk
             return;
         }
         for (const auto &a : args) {
-            std::string root = rootOf(simplePath(a));
+            std::string root = rootOf(simplePath(t_, a.first, a.second));
             if (root.empty())
                 continue;
             auto it = st.find(root);
@@ -781,7 +639,7 @@ class Walk
     recordReturn(size_t b, size_t e, PathState &st)
     {
         std::string tag;
-        auto it = st.find(rootOf(simplePath(b, e)));
+        auto it = st.find(rootOf(simplePath(t_, b, e)));
         if (it != st.end() && (it->second.states & kHeld) != 0)
             tag = it->second.tag;
         if (tag.empty()) {
@@ -839,35 +697,11 @@ class Walk
         out_->push_back({std::string(file_), line, rule, msg});
     }
 
-    // -- Small token utilities ----------------------------------------------
-
-    std::string
-    simplePath(size_t b, size_t e) const
-    {
-        std::string out;
-        for (size_t i = b; i < e && i < t_.size(); ++i) {
-            if (isIdent(t_, i))
-                out += t_[i].text;
-            else if (isPunct(t_, i, ".") || isPunct(t_, i, "->") ||
-                     isPunct(t_, i, "::"))
-                out += ".";
-            else
-                return "";
-        }
-        return out;
-    }
-
-    std::string
-    simplePath(const std::pair<size_t, size_t> &range) const
-    {
-        return simplePath(range.first, range.second);
-    }
-
+    /** Root variable of a simple path: "r" for "r.ticket" or "r::x". */
     static std::string
     rootOf(const std::string &path)
     {
-        size_t dot = path.find('.');
-        return dot == std::string::npos ? path : path.substr(0, dot);
+        return path.substr(0, std::min(path.find('.'), path.find("::")));
     }
 
     const CallGraph &g_;

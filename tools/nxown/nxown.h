@@ -26,9 +26,10 @@
  * cannot see into — ends the local obligation without a release, so
  * unknown callees are never findings.
  *
- * Each function body is walked as a small CFG (shared shape with
- * nxstate: if/else forks and joins, loop bodies twice, early returns
- * terminate their path) tracking the *possible-state set* of every
+ * Each function body is walked by the CFG walker shared with nxstate
+ * (tools/common/cfg_walk.h: if/else forks and joins, loop bodies
+ * twice, switch cases entered from the head, early returns terminate
+ * their path) tracking the *possible-state set* of every
  * handle. A leak fires when a path can exit still holding (exists-
  * path); double-release and release-after-transfer fire only when
  * every possible state agrees (must-semantics) — branchy code never

@@ -1,11 +1,11 @@
 /**
  * @file
  * nxstate CLI — a thin ToolSpec over the shared analyzer driver
- * (tools/common/driver.h owns argument parsing, --format=json, file
+ * (tools/common/driver.h owns argument parsing, --format=json/sarif, file
  * lists and the 0/1/2 exit-code convention).
  *
  * Usage:
- *   nxstate [--list-rules] [--dot] [--format=text|json]
+ *   nxstate [--list-rules] [--format=text|json|sarif] [--dot]
  *           [--root=<dir>] [<repo-root> | <file>...]
  *
  * nxstate is a whole-tree tool: protocol declarations live in headers
@@ -27,7 +27,7 @@ main(int argc, char **argv)
 {
     nxcommon::ToolSpec spec;
     spec.name = "nxstate";
-    spec.usageArgs = "[--dot] [--root=<dir>] [<repo-root> | <file>...]";
+    spec.usageArgs = "[--root=<dir>] [<repo-root> | <file>...]";
     spec.rules = &nxstate::rules();
     spec.analyzeTree = [](const std::string &root) {
         return nxstate::analyzeTree(root).findings;

@@ -12,15 +12,16 @@
  *      protocol(Class: spec)` comments in the raw one. Declarations
  *      are global: a class annotated in its header is enforced in
  *      every translation unit.
- *   2. Find function bodies (a `{` whose backward context resolves to
- *      a parameter list, as in nxtaint) and walk each one statement
- *      by statement. The walker keeps, per protocol-typed local, the
- *      SET of phases the object could be in: if/else branches fork
+ *   2. Find function bodies with the shared finder
+ *      (nxcommon::findFunctions) and walk each one with the shared CFG
+ *      walker (common/cfg_walk.h), keeping, per protocol-typed local,
+ *      the SET of phases the object could be in: if/else branches fork
  *      and re-join the set, loop bodies run twice (second pass seeded
- *      with the first pass's exit state, which is what catches
- *      cross-iteration misuse), early returns terminate their path,
- *      and switch bodies are folded conservatively. A finding fires
- *      only when EVERY possible phase rejects a call.
+ *      with the first pass's back-edge state, which is what catches
+ *      cross-iteration misuse), each switch case starts from the
+ *      head's state, break/continue carry their state to their loop or
+ *      switch, and early returns terminate their path. A finding
+ *      fires only when EVERY possible phase rejects a call.
  *   3. Tickets (NXSIM_TICKET_PROTOCOL) are tracked by simple-path
  *      identity: `auto r = srv.submitAsync(spec)` makes `r.ticket` a
  *      ticket of server `srv`; wait() claims it exactly once, drain()
@@ -46,6 +47,8 @@
 #include <tuple>
 
 #include "common/allow.h"
+#include "common/callgraph.h"
+#include "common/cfg_walk.h"
 #include "common/fileset.h"
 #include "common/lexer.h"
 #include "common/tokens.h"
@@ -55,6 +58,7 @@ namespace nxstate {
 namespace {
 
 using nxcommon::Allow;
+using nxcommon::FunctionDef;
 using nxcommon::isIdent;
 using nxcommon::isPunct;
 using nxcommon::matchForward;
@@ -489,34 +493,6 @@ struct PathState
     std::vector<TicketFlags> tickets;      ///< by id (ids body-unique)
 };
 
-PathState
-joinState(const PathState &a, const PathState &b)
-{
-    PathState j = a;
-    for (const auto &kv : b.protoOf)
-        j.protoOf.emplace(kv.first, kv.second);
-    for (const auto &kv : b.vars) {
-        auto &s = j.vars[kv.first];
-        s.insert(kv.second.begin(), kv.second.end());
-    }
-    for (const auto &kv : b.ticketOf)
-        j.ticketOf.emplace(kv.first, kv.second);
-    if (b.tickets.size() > j.tickets.size())
-        j.tickets.resize(b.tickets.size());
-    for (size_t i = 0; i < b.tickets.size(); ++i) {
-        TicketFlags &f = j.tickets[i];
-        const TicketFlags &g = b.tickets[i];
-        if (f.server.empty()) {
-            f = g;
-        } else {
-            // Must-semantics: flagged only when true on every path.
-            f.claimed = f.claimed && g.claimed;
-            f.drained = f.drained && g.drained;
-        }
-    }
-    return j;
-}
-
 const std::set<std::string, std::less<>> kStmtKeywords = {
     "if",   "for",     "while",  "do",    "switch", "case",
     "else", "default", "return", "throw", "break",  "continue",
@@ -538,183 +514,55 @@ class BodyCheck
     run(size_t b, size_t e)
     {
         PathState st;
-        walk(b, e, st);
+        nxcommon::CfgWalk<BodyCheck>(t_, *this).walk(b, e, st);
     }
 
-  private:
-    // -- CFG walk ----------------------------------------------------
+    // -- the analysis, as nxcommon::CfgWalk's hooks ------------------
 
-    /** Walk [b, e); true when the range unconditionally leaves the
-     * enclosing function/loop (return, throw, break, ...). */
-    bool
-    walk(size_t b, size_t e, PathState &st)
+    using State = PathState;
+
+    static PathState
+    join(const PathState &a, const PathState &b)
     {
-        size_t i = b;
-        while (i < e) {
-            bool term = false;
-            i = step(i, e, st, &term);
-            if (term)
-                return true;   // rest of the block is dead
+        PathState j = a;
+        for (const auto &kv : b.protoOf)
+            j.protoOf.emplace(kv.first, kv.second);
+        for (const auto &kv : b.vars) {
+            auto &s = j.vars[kv.first];
+            s.insert(kv.second.begin(), kv.second.end());
         }
-        return false;
+        for (const auto &kv : b.ticketOf)
+            j.ticketOf.emplace(kv.first, kv.second);
+        if (b.tickets.size() > j.tickets.size())
+            j.tickets.resize(b.tickets.size());
+        for (size_t i = 0; i < b.tickets.size(); ++i) {
+            TicketFlags &f = j.tickets[i];
+            const TicketFlags &g = b.tickets[i];
+            if (f.server.empty()) {
+                f = g;
+            } else {
+                // Must-semantics: flagged only when true on every path.
+                f.claimed = f.claimed && g.claimed;
+                f.drained = f.drained && g.drained;
+            }
+        }
+        return j;
     }
-
-    /** Process one statement/construct at @p i; returns the index just
-     * past it. */
-    size_t
-    step(size_t i, size_t e, PathState &st, bool *terminated)
-    {
-        if (isPunct(t_, i, "{")) {
-            size_t m = std::min(matchForward(t_, i, '{', '}'), e);
-            *terminated = walk(i + 1, m, st);
-            return m + 1;
-        }
-        if (isPunct(t_, i, ";"))
-            return i + 1;
-        if (isIdent(t_, i, "if")) {
-            size_t j = i + 1;
-            if (isIdent(t_, j, "constexpr"))
-                ++j;
-            if (!isPunct(t_, j, "("))
-                return i + 1;
-            size_t pc = std::min(matchForward(t_, j, '(', ')'), e);
-            processRange(j + 1, pc, st);
-            PathState thenSt = st;
-            bool thenTerm = false;
-            size_t k = step(pc + 1, e, thenSt, &thenTerm);
-            if (isIdent(t_, k, "else")) {
-                PathState elseSt = st;
-                bool elseTerm = false;
-                size_t k2 = step(k + 1, e, elseSt, &elseTerm);
-                if (thenTerm && elseTerm) {
-                    st = joinState(thenSt, elseSt);
-                    *terminated = true;
-                } else if (thenTerm) {
-                    st = std::move(elseSt);
-                } else if (elseTerm) {
-                    st = std::move(thenSt);
-                } else {
-                    st = joinState(thenSt, elseSt);
-                }
-                return k2;
-            }
-            if (!thenTerm)
-                st = joinState(st, thenSt);
-            return k;
-        }
-        if (isIdent(t_, i, "for") || isIdent(t_, i, "while")) {
-            if (!isPunct(t_, i + 1, "("))
-                return i + 1;
-            size_t pc = std::min(matchForward(t_, i + 1, '(', ')'), e);
-            processRange(i + 2, pc, st);
-            PathState once = st;
-            bool bt = false;
-            size_t k = step(pc + 1, e, once, &bt);
-            if (!bt) {
-                // Second pass seeded with the first pass's exit state:
-                // this is what catches cross-iteration misuse (a
-                // finishing call inside the loop body).
-                PathState twice = once;
-                bool bt2 = false;
-                (void)step(pc + 1, e, twice, &bt2);
-                once = joinState(once, twice);
-            }
-            st = joinState(st, once);
-            return k;
-        }
-        if (isIdent(t_, i, "do")) {
-            bool bt = false;
-            size_t k = step(i + 1, e, st, &bt);
-            if (!bt) {
-                PathState twice = st;
-                bool bt2 = false;
-                (void)step(i + 1, e, twice, &bt2);
-                st = joinState(st, twice);
-            }
-            if (isIdent(t_, k, "while") && isPunct(t_, k + 1, "(")) {
-                size_t pc = std::min(matchForward(t_, k + 1, '(', ')'), e);
-                processRange(k + 2, pc, st);
-                k = pc + 1;
-                if (isPunct(t_, k, ";"))
-                    ++k;
-            }
-            return k;
-        }
-        if (isIdent(t_, i, "switch")) {
-            if (!isPunct(t_, i + 1, "("))
-                return i + 1;
-            size_t pc = std::min(matchForward(t_, i + 1, '(', ')'), e);
-            processRange(i + 2, pc, st);
-            if (isPunct(t_, pc + 1, "{")) {
-                size_t m = std::min(matchForward(t_, pc + 1, '{', '}'), e);
-                // Conservative: cases folded into one linear walk,
-                // joined with the entry state (a case may not run).
-                PathState inner = st;
-                walk(pc + 2, m, inner);
-                st = joinState(st, inner);
-                return m + 1;
-            }
-            return pc + 1;
-        }
-        if (isIdent(t_, i, "case") || isIdent(t_, i, "default")) {
-            size_t j = i + 1;
-            while (j < e && !isPunct(t_, j, ":"))
-                ++j;
-            return j + 1;
-        }
-        if (isIdent(t_, i, "return") || isIdent(t_, i, "throw") ||
-            isIdent(t_, i, "co_return")) {
-            size_t semi = findSemi(i + 1, e);
-            processRange(i + 1, semi, st);
-            *terminated = true;
-            return semi + 1;
-        }
-        if (isIdent(t_, i, "break") || isIdent(t_, i, "continue") ||
-            isIdent(t_, i, "goto")) {
-            *terminated = true;
-            return findSemi(i, e) + 1;
-        }
-        if (isIdent(t_, i, "try") || isIdent(t_, i, "else"))
-            return i + 1;
-        if (isIdent(t_, i, "catch")) {
-            size_t pc = isPunct(t_, i + 1, "(")
-                            ? std::min(matchForward(t_, i + 1, '(', ')'), e)
-                            : i;
-            PathState cSt = st;
-            bool ct = false;
-            size_t k = step(pc + 1, e, cSt, &ct);
-            if (!ct)
-                st = joinState(st, cSt);
-            return k;
-        }
-        size_t semi = findSemi(i, e);
-        processRange(i, semi, st);
-        return semi + 1;
-    }
-
-    /** First top-level `;` in [i, e), tracking bracket depth so the
-     * body of an inline lambda never ends the statement. */
-    size_t
-    findSemi(size_t i, size_t e) const
-    {
-        int depth = 0;
-        for (; i < e; ++i) {
-            if (isPunct(t_, i, "(") || isPunct(t_, i, "[") ||
-                isPunct(t_, i, "{"))
-                ++depth;
-            else if (isPunct(t_, i, ")") || isPunct(t_, i, "]") ||
-                     isPunct(t_, i, "}"))
-                --depth;
-            else if (depth == 0 && isPunct(t_, i, ";"))
-                return i;
-        }
-        return e;
-    }
-
-    // -- statement processing ----------------------------------------
 
     void
-    processRange(size_t b, size_t e, PathState &st)
+    condition(size_t b, size_t e, PathState &st)
+    {
+        statement(b, e, st);
+    }
+
+    void
+    exit(size_t kw, size_t e, PathState &st)
+    {
+        statement(kw + 1, e, st);
+    }
+
+    void
+    statement(size_t b, size_t e, PathState &st)
     {
         detectProtocolDecls(b, e, st);
         detectTicketBindings(b, e, st);
@@ -725,11 +573,12 @@ class BodyCheck
                 !(isPunct(t_, i - 1, ".") || isPunct(t_, i - 1, "->")))
                 continue;
             size_t close = std::min(matchForward(t_, i + 1, '(', ')'), e);
-            std::string recv = receiverPath(b, i - 1);
+            std::string recv = nxcommon::receiverPath(t_, b, i - 1);
             handleCall(recv, t_[i].text, i + 2, close, t_[i].line, st);
         }
     }
 
+  private:
     void
     detectProtocolDecls(size_t b, size_t e, PathState &st)
     {
@@ -782,7 +631,7 @@ class BodyCheck
                         tp = &kv.second;
                 if (tp == nullptr)
                     continue;
-                std::string server = buildPath(ps, j - 2);
+                std::string server = nxcommon::simplePath(t_, ps, j - 2);
                 if (server.empty())
                     continue;
                 size_t close = matchForward(t_, j, '(', ')');
@@ -800,59 +649,12 @@ class BodyCheck
                 tf.issueLine = t_[i].line;
                 st.ticketOf[tpath] = id;
             } else if (j <= e && (j == e || isPunct(t_, j, ";"))) {
-                std::string path = buildPath(ps, j);
+                std::string path = nxcommon::simplePath(t_, ps, j);
                 auto it = st.ticketOf.find(path);
                 if (it != st.ticketOf.end())
                     st.ticketOf[var] = it->second;
             }
         }
-    }
-
-    /** Join a simple path token range ("srv", "r . ticket") into dotted
-     * form; empty when the range is not a simple path. */
-    std::string
-    buildPath(size_t b, size_t e) const
-    {
-        std::string s;
-        for (size_t i = b; i < e; ++i) {
-            if (isIdent(t_, i))
-                s += t_[i].text;
-            else if (isPunct(t_, i, ".") || isPunct(t_, i, "->"))
-                s += ".";
-            else if (isPunct(t_, i, "::"))
-                s += "::";
-            else
-                return {};
-        }
-        return s;
-    }
-
-    /** Receiver of a member call whose `.`/`->` sits at @p dot: the
-     * simple path ending there, or "" for complex receivers
-     * (`tickets[i]`, `make().x`). */
-    std::string
-    receiverPath(size_t b, size_t dot) const
-    {
-        size_t i = dot;
-        size_t lo = dot;
-        while (i > b) {
-            --i;
-            if (isIdent(t_, i)) {
-                lo = i;
-                if (i > b && (isPunct(t_, i - 1, ".") ||
-                              isPunct(t_, i - 1, "->") ||
-                              isPunct(t_, i - 1, "::"))) {
-                    --i;
-                    continue;
-                }
-            }
-            break;
-        }
-        if (!isIdent(t_, lo) || lo == dot)
-            return {};
-        if (lo > b && (isPunct(t_, lo - 1, ")") || isPunct(t_, lo - 1, "]")))
-            return {};
-        return buildPath(lo, dot);
     }
 
     void
@@ -869,8 +671,8 @@ class BodyCheck
                 nxcommon::splitArgs(t_, ab, ae, args);
                 std::string p = args.empty()
                                     ? std::string{}
-                                    : buildPath(args[0].first,
-                                                args[0].second);
+                                    : nxcommon::simplePath(
+                                          t_, args[0].first, args[0].second);
                 auto it = st.ticketOf.find(p);
                 if (it != st.ticketOf.end()) {
                     TicketFlags &tf =
@@ -1044,81 +846,8 @@ class BodyCheck
 };
 
 // ---------------------------------------------------------------------------
-// Body and lock scanning
+// Lock scanning
 // ---------------------------------------------------------------------------
-
-const std::set<std::string, std::less<>> kNotFnName = {
-    "if", "for", "while", "switch", "catch", "return", "sizeof",
-    "alignof", "new", "delete"};
-
-const std::set<std::string, std::less<>> kTrailingQual = {
-    "const", "noexcept", "override", "final", "mutable"};
-
-/** Does the `{` at @p i open a function (or lambda) body? Mirrors
- * nxtaint's heuristic: walk back over trailing qualifiers (and a
- * trailing return type) to a `)`, then check what owns the matching
- * `(`. */
-bool
-startsFunctionBody(const std::vector<Token> &t, size_t i)
-{
-    if (i == 0)
-        return false;
-    size_t j = i - 1;
-    while (j > 0 && isIdent(t, j) && kTrailingQual.count(t[j].text) != 0)
-        --j;
-    if (!isPunct(t, j, ")")) {
-        // Maybe a trailing return type: `) -> std::vector<int> {`.
-        size_t k = j;
-        bool arrow = false;
-        for (int lim = 0; k > 0 && lim < 24; ++lim) {
-            if (isPunct(t, k, "->")) {
-                arrow = true;
-                --k;
-                break;
-            }
-            if (isIdent(t, k) || t[k].kind == Tok::Number ||
-                isPunct(t, k, "::") || isPunct(t, k, "<") ||
-                isPunct(t, k, ">") || isPunct(t, k, "*") ||
-                isPunct(t, k, "&") || isPunct(t, k, ",") ||
-                isPunct(t, k, "[") || isPunct(t, k, "]")) {
-                --k;
-                continue;
-            }
-            break;
-        }
-        if (!arrow)
-            return false;
-        j = k;
-        while (j > 0 && isIdent(t, j) && kTrailingQual.count(t[j].text) != 0)
-            --j;
-        if (!isPunct(t, j, ")"))
-            return false;
-    }
-    size_t o = nxcommon::matchBackward(t, j, '(', ')');
-    if (o >= t.size() || o == 0)
-        return false;
-    size_t p = o - 1;
-    if (isIdent(t, p))
-        return kNotFnName.count(t[p].text) == 0;
-    return isPunct(t, p, "]") || isPunct(t, p, ">");
-}
-
-/** Class owning an out-of-line definition (`X::f(...) {`), or "". */
-std::string
-outOfLineClass(const std::vector<Token> &t, size_t bodyIdx)
-{
-    size_t j = bodyIdx - 1;
-    while (j > 0 && isIdent(t, j) && kTrailingQual.count(t[j].text) != 0)
-        --j;
-    if (!isPunct(t, j, ")"))
-        return {};
-    size_t o = nxcommon::matchBackward(t, j, '(', ')');
-    if (o >= t.size() || o < 3)
-        return {};
-    if (isIdent(t, o - 1) && isPunct(t, o - 2, "::") && isIdent(t, o - 3))
-        return t[o - 3].text;
-    return {};
-}
 
 /** RAII lock acquisitions in one body: scope-stack the held set and
  * record a global edge held -> new for every nesting. */
@@ -1156,22 +885,11 @@ lockScan(const std::vector<Token> &t, size_t b, size_t e,
             continue;
         std::vector<std::pair<size_t, size_t>> args;
         nxcommon::splitArgs(t, j + 2, close, args);
-        for (const auto &[ab, ae] : args) {
-            std::string path;
-            bool simple = true;
-            for (size_t k = ab; k < ae; ++k) {
-                if (isIdent(t, k))
-                    path += t[k].text;
-                else if (isPunct(t, k, ".") || isPunct(t, k, "->"))
-                    path += ".";
-                else if (isPunct(t, k, "::"))
-                    path += "::";
-                else if (isPunct(t, k, "*") || isPunct(t, k, "&"))
-                    continue;   // deref/addr-of: name the object
-                else
-                    simple = false;
-            }
-            if (!simple || path.empty())
+        for (auto [ab, ae] : args) {
+            while (ab < ae && (isPunct(t, ab, "*") || isPunct(t, ab, "&")))
+                ++ab;   // deref/addr-of: name the object
+            std::string path = nxcommon::simplePath(t, ab, ae);
+            if (path.empty())
                 continue;
             bool isTag = false;
             for (const auto &tag : kLockTags)
@@ -1195,67 +913,6 @@ lockScan(const std::vector<Token> &t, size_t b, size_t e,
             held.push_back({depth, node});
         }
         i = close;
-    }
-}
-
-/** Walk one file's merged tokens: track class context, find function
- * bodies, run the typestate walker and the lock scanner on each. */
-void
-scanFile(const std::vector<Token> &t, std::string_view file,
-         const Tables &tb, std::vector<Finding> &out, LockGraph &lg)
-{
-    struct Frame
-    {
-        bool isClass;
-        std::string cls;
-    };
-    std::vector<Frame> stack;
-    std::string pendingClass;
-    for (size_t i = 0; i < t.size(); ++i) {
-        if (isIdent(t, i, "class") || isIdent(t, i, "struct")) {
-            if (i > 0 && isIdent(t, i - 1, "enum"))
-                continue;
-            if (isIdent(t, i + 1))
-                pendingClass = t[i + 1].text;
-            continue;
-        }
-        if (isPunct(t, i, ";")) {
-            pendingClass.clear();
-            continue;
-        }
-        if (isPunct(t, i, "{")) {
-            if (!pendingClass.empty()) {
-                stack.push_back({true, pendingClass});
-                pendingClass.clear();
-                continue;
-            }
-            if (startsFunctionBody(t, i)) {
-                size_t m = matchForward(t, i, '{', '}');
-                if (m >= t.size()) {
-                    stack.push_back({false, {}});
-                    continue;
-                }
-                std::string cls = outOfLineClass(t, i);
-                if (cls.empty())
-                    for (auto it = stack.rbegin(); it != stack.rend();
-                         ++it)
-                        if (it->isClass) {
-                            cls = it->cls;
-                            break;
-                        }
-                BodyCheck(file, t, tb, out).run(i + 1, m);
-                lockScan(t, i + 1, m, cls, file, lg);
-                i = m;   // bodies are consumed whole
-                continue;
-            }
-            stack.push_back({false, {}});
-            continue;
-        }
-        if (isPunct(t, i, "}")) {
-            if (!stack.empty())
-                stack.pop_back();
-            continue;
-        }
     }
 }
 
@@ -1360,9 +1017,15 @@ analyzeFiles(const std::vector<SourceFile> &files)
         collectMacroProtocols(merged[i], files[i].path, tb, raw);
     }
 
+    // Every function body gets the typestate walk and the lock scan.
     LockGraph lg;
     for (size_t i = 0; i < n; ++i)
-        scanFile(merged[i], files[i].path, tb, raw, lg);
+        for (const FunctionDef &fn : nxcommon::findFunctions(merged[i], i)) {
+            BodyCheck(files[i].path, merged[i], tb, raw)
+                .run(fn.bodyBegin + 1, fn.bodyEnd);
+            lockScan(merged[i], fn.bodyBegin + 1, fn.bodyEnd, fn.cls,
+                     files[i].path, lg);
+        }
     lockCycles(lg, raw);
     an.lockDot = lockDot(lg);
 

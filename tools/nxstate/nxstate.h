@@ -37,9 +37,10 @@
  * a method, unmarked calls of that method match only the unmarked
  * atoms. Methods that appear in no atom are unconstrained.
  *
- * The checker walks each function body's token stream as a small CFG
- * (if/else joins, loop bodies walked twice, switch cases isolated,
- * early returns terminate their path) tracking the *set* of phases
+ * The checker walks each function body with the shared CFG walker
+ * (tools/common/cfg_walk.h: if/else joins, loop bodies walked twice,
+ * each switch case entered from the head, early returns terminate
+ * their path) tracking the *set* of phases
  * each protocol-typed local could be in. A finding fires only when
  * every possible phase rejects the call — must-violation semantics,
  * so branchy code never produces maybe-findings.

@@ -1,11 +1,12 @@
 /**
  * @file
  * nxtaint CLI — a thin ToolSpec over the shared analyzer driver
- * (tools/common/driver.h owns argument parsing, --format=json, file
+ * (tools/common/driver.h owns argument parsing, --format=json/sarif, file
  * lists and the 0/1/2 exit-code convention).
  *
  * Usage:
- *   nxtaint [--list-rules] [--format=text|json] [<repo-root> | <file>...]
+ *   nxtaint [--list-rules] [--format=text|json|sarif]
+ *           [<repo-root> | <file>...]
  *
  * With a directory argument (default: the current directory) the tool
  * analyzes every *.h / *.cc under its src/ subtree. Explicit file

@@ -9,11 +9,10 @@
  *      suppressions from the comment stream (tools/common/allow.h),
  *      then strip comments and merge multi-character operators (`<<`,
  *      `->`, `==`, ...) via tools/common/tokens.h.
- *   2. Find function bodies: a `{` whose backward token context
- *      resolves (through trailing `const`/`noexcept`/return types /
- *      constructor-initializer lists) to a `)`. Each body gets a fresh
- *      taint environment; lambdas and nested blocks are analyzed
- *      inline against the enclosing function's environment.
+ *   2. Find function bodies with the shared finder
+ *      (nxcommon::findFunctions). Each body gets a fresh taint
+ *      environment; lambdas and nested blocks are analyzed inline
+ *      against the enclosing function's environment.
  *   3. Walk the body statement by statement in token order. Sources
  *      taint variables, `if`/`switch`/contract comparisons sanitize
  *      them, sinks fire findings on tainted-and-unsanitized values.
@@ -92,6 +91,7 @@ const std::vector<RuleInfo> kRules = {
     {"io-error", "file could not be read"},
 };
 
+using nxcommon::findTopLevel;
 using nxcommon::isIdent;
 using nxcommon::isPunct;
 
@@ -213,22 +213,14 @@ class Analyzer
         return sumChanged_;
     }
 
+    /** Findings mode: analyze every function body in the file. */
     void
     run()
     {
-        size_t n = t_.size();
-        size_t i = 0;
-        while (i < n) {
-            if (isPunct(t_, i, "{")) {
-                size_t po = 0;
-                size_t pc = 0;
-                if (startsFunctionBody(i, po, pc)) {
-                    beginFunction(po, pc);
-                    i = analyzeBody(i);
-                    continue;
-                }
-            }
-            ++i;
+        for (const nxcommon::FunctionDef &fn :
+             nxcommon::findFunctions(t_, fileIdx_)) {
+            beginFunction(fn.paramOpen, fn.paramClose);
+            analyzeBody(fn.bodyBegin);
         }
     }
 
@@ -247,111 +239,16 @@ class Analyzer
         return nxcommon::matchBackward(t_, i, open, close);
     }
 
-    // -- function detection -------------------------------------------------
-
-    /**
-     * Does the `{` at @p braceIdx open a function body? Scan backwards
-     * over trailing specifiers / return types / initializer lists; a
-     * body is preceded (eventually) by the `)` of a parameter list. On
-     * success @p po / @p pc are the parameter-list parens.
-     */
-    bool
-    startsFunctionBody(size_t braceIdx, size_t &po, size_t &pc) const
-    {
-        if (braceIdx == 0)
-            return false;
-        size_t i = braceIdx - 1;
-        // Skip trailing const/noexcept/override/final and `-> Type`.
-        for (int guard = 0; guard < 64; ++guard) {
-            const Token &tk = t_[i];
-            if (tk.kind == Tok::Ident || isPunct(t_, i, "::") ||
-                isPunct(t_, i, "<") || isPunct(t_, i, ">") ||
-                isPunct(t_, i, "*") || isPunct(t_, i, "&") ||
-                isPunct(t_, i, "->")) {
-                if (i == 0)
-                    return false;
-                --i;
-                continue;
-            }
-            break;
-        }
-        // Constructor initializer lists: `) : a_(x), b_(y) {`. Walk
-        // backwards over `name(...)` / `name{...}` entries joined by
-        // `,` until the `:` after the parameter list.
-        for (int guard = 0; guard < 256; ++guard) {
-            if (isPunct(t_, i, ")") || isPunct(t_, i, "}")) {
-                char open = t_[i].text[0] == ')' ? '(' : '{';
-                size_t openIdx =
-                    matchBackward(i, open, t_[i].text[0]);
-                if (openIdx == t_.size() || openIdx == 0)
-                    return false;
-                size_t before = openIdx - 1;
-                if (t_[before].kind == Tok::Ident && before > 0 &&
-                    (isPunct(t_, before - 1, ",") ||
-                     isPunct(t_, before - 1, ":"))) {
-                    // initializer-list entry; keep walking left
-                    bool colon = isPunct(t_, before - 1, ":");
-                    i = before - 2;
-                    if (colon) {
-                        // token before `:` must be the param-list `)`
-                        if (!isPunct(t_, i, ")"))
-                            return false;
-                        pc = i;
-                        po = matchBackward(i, '(', ')');
-                        return po != t_.size();
-                    }
-                    continue;
-                }
-                if (t_[i].text[0] != ')')
-                    return false;
-                pc = i;
-                po = openIdx;
-                return headAllowsFunction(po);
-            }
-            return false;
-        }
-        return false;
-    }
-
-    /** Reject control-flow heads (`if (...) {`) — they are statements,
-     * not function definitions, and only appear inside bodies anyway. */
-    bool
-    headAllowsFunction(size_t parenOpen) const
-    {
-        if (parenOpen == 0)
-            return false;
-        const Token &h = t_[parenOpen - 1];
-        if (h.kind != Tok::Ident)
-            // `](...)` lambda at namespace scope, `)(...)` fn-ptr, ...
-            return isPunct(t_, parenOpen - 1, "]");
-        return h.text != "if" && h.text != "for" && h.text != "while" &&
-               h.text != "switch" && h.text != "catch" &&
-               h.text != "return";
-    }
-
     /** Reset state and mark NXSIM_UNTRUSTED parameters tainted. */
     void
     beginFunction(size_t po, size_t pc)
     {
         env_.clear();
         clean_.clear();
-        size_t b = po + 1;
-        while (b < pc) {
-            size_t e = b;
-            int depth = 0;
-            for (; e < pc; ++e) {
-                if (isPunct(t_, e, "(") || isPunct(t_, e, "[") ||
-                    isPunct(t_, e, "{"))
-                    ++depth;
-                else if (isPunct(t_, e, ")") || isPunct(t_, e, "]") ||
-                         isPunct(t_, e, "}"))
-                    --depth;
-                else if (depth == 0 && isPunct(t_, e, ","))
-                    break;
-            }
+        std::vector<std::pair<size_t, size_t>> params;
+        splitArgs(po + 1, pc, params);
+        for (const auto &[b, e] : params)
             markUntrustedParam(b, e);
-            b = e + 1;
-        }
     }
 
     void
@@ -378,8 +275,8 @@ class Analyzer
 
     // -- body walk ----------------------------------------------------------
 
-    /** Walk one function body; returns the index past its `}`. */
-    size_t
+    /** Walk one function body statement by statement. */
+    void
     analyzeBody(size_t braceIdx)
     {
         size_t end = matchForward(braceIdx, '{', '}');
@@ -408,7 +305,6 @@ class Analyzer
             ++i;
         }
         processStmt(sb, end);
-        return end + 1;
     }
 
     /** `for` headers split into init/cond/update; conditions of loops
@@ -418,25 +314,9 @@ class Analyzer
     handleControl(const std::string &kind, size_t b, size_t e)
     {
         if (kind == "for") {
-            size_t s1 = e;
-            size_t s2 = e;
-            int depth = 0;
-            for (size_t i = b; i < e; ++i) {
-                if (isPunct(t_, i, "(") || isPunct(t_, i, "[") ||
-                    isPunct(t_, i, "{"))
-                    ++depth;
-                else if (isPunct(t_, i, ")") || isPunct(t_, i, "]") ||
-                         isPunct(t_, i, "}"))
-                    --depth;
-                else if (depth == 0 && isPunct(t_, i, ";")) {
-                    if (s1 == e)
-                        s1 = i;
-                    else if (s2 == e) {
-                        s2 = i;
-                        break;
-                    }
-                }
-            }
+            auto semi = [&](size_t i) { return isPunct(t_, i, ";"); };
+            size_t s1 = findTopLevel(t_, b, e, semi);
+            size_t s2 = s1 == e ? e : findTopLevel(t_, s1 + 1, e, semi);
             if (s1 == e) {
                 processStmt(b, e);    // range-for: no condition clause
                 return;
@@ -608,31 +488,20 @@ class Analyzer
     void
     applyAssignment(size_t b, size_t e)
     {
-        int depth = 0;
-        for (size_t i = b; i < e; ++i) {
-            if (isPunct(t_, i, "(") || isPunct(t_, i, "[") ||
-                isPunct(t_, i, "{"))
-                ++depth;
-            else if (isPunct(t_, i, ")") || isPunct(t_, i, "]") ||
-                     isPunct(t_, i, "}"))
-                --depth;
-            if (depth != 0 || t_[i].kind != Tok::Punct)
-                continue;
-            bool plain = t_[i].text == "=";
-            bool compound = kCompoundAssign.count(t_[i].text) != 0;
-            if (!plain && !compound)
-                continue;
-            if (i == b || !isIdent(t_, i - 1))
-                return;    // subscript/deref target: not a tracked var
-            const std::string &var = t_[i - 1].text;
-            TaintInfo ti;
-            if (findTaint(i + 1, e, ti)) {
-                env_[var] = ti;
-                clean_.erase(var);
-            } else if (plain) {
-                env_.erase(var);
-            }
-            return;
+        size_t i = findTopLevel(t_, b, e, [&](size_t k) {
+            const Token &op = t_[k];
+            return op.kind == Tok::Punct &&
+                   (op.text == "=" || kCompoundAssign.count(op.text) != 0);
+        });
+        if (i == e || i == b || !isIdent(t_, i - 1))
+            return;    // none, or a subscript/deref target: not tracked
+        const std::string &var = t_[i - 1].text;
+        TaintInfo ti;
+        if (findTaint(i + 1, e, ti)) {
+            env_[var] = ti;
+            clean_.erase(var);
+        } else if (t_[i].text == "=") {
+            env_.erase(var);
         }
     }
 
@@ -753,42 +622,33 @@ class Analyzer
     bool
     maskedAt(size_t b, size_t e) const
     {
-        int depth = 0;
-        for (size_t i = b; i < e; ++i) {
-            if (isPunct(t_, i, "(") || isPunct(t_, i, "[") ||
-                isPunct(t_, i, "{"))
-                ++depth;
-            else if (isPunct(t_, i, ")") || isPunct(t_, i, "]") ||
-                     isPunct(t_, i, "}"))
-                --depth;
-            if (depth != 0)
-                continue;
-            if (!isPunct(t_, i, "&") && !isPunct(t_, i, "%"))
-                continue;
-            size_t j = i + 1;
-            if (j >= e)
-                continue;
-            if (t_[j].kind == Tok::Number)
-                return true;
-            if (isIdent(t_, j) && isConstIdent(t_[j].text) &&
-                !isPunct(t_, j + 1, "("))
-                return true;
-            if (isPunct(t_, j, "(")) {
-                size_t c = matchForward(j, '(', ')');
-                bool constGroup = c > j + 1 && c <= e;
-                for (size_t k = j + 1; k < c && constGroup; ++k) {
-                    if (t_[k].kind == Tok::Number ||
-                        t_[k].kind == Tok::Punct)
-                        continue;
-                    if (isIdent(t_, k) && isConstIdent(t_[k].text))
-                        continue;
-                    constGroup = false;
-                }
-                if (constGroup)
-                    return true;
-            }
+        return findTopLevel(t_, b, e, [&](size_t i) {
+                   return (isPunct(t_, i, "&") || isPunct(t_, i, "%")) &&
+                          i + 1 < e && constOperand(i + 1, e);
+               }) != e;
+    }
+
+    /** Is the operand at @p j a literal, a constant, or a parenthesized
+     * group of only those? */
+    bool
+    constOperand(size_t j, size_t e) const
+    {
+        if (t_[j].kind == Tok::Number)
+            return true;
+        if (isIdent(t_, j) && isConstIdent(t_[j].text) &&
+            !isPunct(t_, j + 1, "("))
+            return true;
+        if (!isPunct(t_, j, "("))
+            return false;
+        size_t c = matchForward(j, '(', ')');
+        if (c <= j + 1 || c > e)
+            return false;
+        for (size_t k = j + 1; k < c; ++k) {
+            if (t_[k].kind != Tok::Number && t_[k].kind != Tok::Punct &&
+                !(isIdent(t_, k) && isConstIdent(t_[k].text)))
+                return false;
         }
-        return false;
+        return true;
     }
 
     // -- sinks --------------------------------------------------------------
