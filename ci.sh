@@ -23,8 +23,9 @@
 #                      multi-session stress, load-generator suites)
 #   9. coverage        gcov build; runs the `session`, `load` and
 #                      `codec` ctest labels and gates the line coverage
-#                      of src/core/session.cc and
-#                      src/deflate/inflate_stream.cc against
+#                      of src/core/session.cc,
+#                      src/deflate/inflate_stream.cc and
+#                      src/deflate/deflate_stream.cc against
 #                      tools/coverage_baseline.txt
 #  10. clang-tsa       Clang -Wthread-safety over the lock annotations
 #                      (src/util/thread_annotations.h); skipped with a

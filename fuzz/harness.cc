@@ -7,6 +7,7 @@
 #include "core/fault_injector.h"
 #include "core/session.h"
 #include "deflate/deflate_encoder.h"
+#include "deflate/deflate_stream.h"
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
 #include "deflate/inflate_stream.h"
@@ -128,6 +129,18 @@ fuzzRoundtrip(std::span<const uint8_t> data)
                    std::equal(swDec.bytes.begin(), swDec.bytes.end(),
                               payload.begin()),
                "software round trip mismatch");
+
+    // Streaming leg: the same payload as two writes, split at an
+    // offset the mode byte's upper bits choose, with a Sync between.
+    size_t split = payload.size() * (size_t{data[1]} >> 1) / 127;
+    deflate::DeflateStream ds(opts);
+    std::vector<uint8_t> streamed;
+    ds.write(payload.first(split), deflate::Flush::Sync, streamed);
+    ds.write(payload.subspan(split), deflate::Flush::Finish, streamed);
+    auto stDec = deflate::inflateDecompress(streamed, payload.size() + 64);
+    FUZZ_CHECK(stDec.ok(), "streamed deflate stream does not inflate");
+    FUZZ_CHECK(stDec.bytes == swDec.bytes,
+               "streamed round trip mismatch");
 
     // NX engine leg (model of the hardware compress pipeline).
     static nx::NxConfig cfg = nx::NxConfig::power9();

@@ -30,9 +30,11 @@ int fuzzGzip(std::span<const uint8_t> data);
 int fuzzE842(std::span<const uint8_t> data);
 
 /**
- * Differential round trip: payload compressed through both the software
- * DeflateEncoder and the NX CompressEngine at a fuzzer-chosen level,
- * inflated back, outputs asserted byte-identical with matching CRC32.
+ * Differential round trip: payload compressed through the software
+ * encoder (one call, and as two DeflateStream writes split at a
+ * fuzzer-chosen offset with a Sync between) and the NX CompressEngine
+ * at a fuzzer-chosen level, inflated back, outputs asserted
+ * byte-identical with matching CRC32.
  */
 int fuzzRoundtrip(std::span<const uint8_t> data);
 

@@ -14,8 +14,10 @@
 
 #include "deflate/deflate_encoder.h"
 #include "deflate/gzip_stream.h"
+#include "deflate/lz77.h"
 #include "deflate/zlib_stream.h"
 #include "e842/e842.h"
+#include "util/bitstream.h"
 #include "workloads/corpus.h"
 
 namespace {
@@ -61,10 +63,17 @@ main(int argc, char **argv)
     save(root / "inflate", "stored-l0.bin", deflateAt(rnd, 0));
     save(root / "inflate", "zeros-l6.bin", deflateAt(zeros, 6));
     {
-        deflate::DeflateOptions opts;
-        opts.forceFixed = true;
-        save(root / "inflate", "fixed.bin",
-             deflate::deflateCompress(text, opts).bytes);
+        // One final fixed-Huffman block: the level-6 tokens under the
+        // fixed codes.
+        deflate::Lz77Matcher matcher(deflate::levelParams(6));
+        util::BitWriter bw;
+        bw.writeBits(1, 1);
+        bw.writeBits(static_cast<uint32_t>(deflate::BlockType::FixedHuffman),
+                     2);
+        deflate::emitTokens(bw, matcher.tokenize(text),
+                            deflate::HuffmanCode::fixedLitLen(),
+                            deflate::HuffmanCode::fixedDist());
+        save(root / "inflate", "fixed.bin", bw.take());
     }
     {
         // Multi-block stream: small blockBytes forces block boundaries.

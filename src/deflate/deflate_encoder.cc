@@ -1,6 +1,7 @@
 #include "deflate/deflate_encoder.h"
 
 #include <algorithm>
+#include "deflate/deflate_stream.h"
 #include "util/checked.h"
 
 namespace deflate {
@@ -190,115 +191,10 @@ tokenCostBits(const SymbolFreqs &freqs, const HuffmanCode &litlen,
     return bits;
 }
 
-namespace {
-
-/** Emit one stored block (BFINAL already decided by caller). */
-void
-writeStoredBlock(util::BitWriter &bw, std::span<const uint8_t> data,
-                 bool final)
-{
-    bw.writeBits(final ? 1 : 0, 1);
-    bw.writeBits(nx::checked_cast<uint32_t>(BlockType::Stored), 2);
-    bw.alignToByte();
-    auto len = nx::checked_cast<uint16_t>(data.size());
-    bw.writeU16le(len);
-    bw.writeU16le(nx::truncate_cast<uint16_t>(~len));
-    bw.writeBytes(data);
-}
-
-} // namespace
-
 DeflateResult
 deflateCompress(std::span<const uint8_t> input, const DeflateOptions &opts)
 {
-    DeflateResult res;
-    util::BitWriter bw;
-    LevelParams params = levelParams(opts.level);
-    Lz77Matcher matcher(params);
-
-    size_t pos = 0;
-    bool emitted_any = false;
-    while (pos < input.size() || !emitted_any) {
-        size_t n = std::min(opts.blockBytes, input.size() - pos);
-        std::span<const uint8_t> chunk = input.subspan(pos, n);
-        pos += n;
-        bool final = pos >= input.size();
-        emitted_any = true;
-
-        if (params.store) {
-            // Level 0: stored blocks, capped at 65535 bytes each.
-            size_t off = 0;
-            do {
-                size_t sn = std::min<size_t>(chunk.size() - off, 65535);
-                bool sub_final = final && off + sn >= chunk.size();
-                writeStoredBlock(bw, chunk.subspan(off, sn), sub_final);
-                ++res.storedBlocks;
-                off += sn;
-            } while (off < chunk.size());
-            continue;
-        }
-
-        // Note: the matcher restarts per block, so matches do not cross
-        // block boundaries. With >= 256 KiB blocks the ratio impact is
-        // well under 1 %, matching zlib's behaviour at flush points.
-        auto tokens = matcher.tokenize(chunk);
-        res.tokenCount += tokens.size();
-        res.chainSteps += matcher.chainSteps();
-
-        SymbolFreqs freqs;
-        freqs.accumulate(tokens);
-
-        uint64_t fixed_cost = 3 + tokenCostBits(
-            freqs, HuffmanCode::fixedLitLen(), HuffmanCode::fixedDist());
-
-        if (opts.forceFixed) {
-            bw.writeBits(final ? 1 : 0, 1);
-            bw.writeBits(nx::checked_cast<uint32_t>(BlockType::FixedHuffman),
-                         2);
-            emitTokens(bw, tokens, HuffmanCode::fixedLitLen(),
-                       HuffmanCode::fixedDist());
-            ++res.fixedBlocks;
-            continue;
-        }
-
-        BlockCodes codes = buildDynamicCodes(freqs);
-        // Dynamic header cost is found by writing into a scratch writer.
-        util::BitWriter scratch;
-        uint64_t hdr_bits = writeDynamicHeader(scratch, codes);
-        uint64_t dyn_cost = 3 + hdr_bits +
-            tokenCostBits(freqs, codes.litlen, codes.dist);
-
-        uint64_t stored_cost = (chunk.size() + 5 * (chunk.size() / 65535
-            + 1)) * 8 + 8 /* worst-case align */;
-
-        if (stored_cost < dyn_cost && stored_cost < fixed_cost) {
-            size_t off = 0;
-            do {
-                size_t sn = std::min<size_t>(chunk.size() - off, 65535);
-                bool sub_final = final && off + sn >= chunk.size();
-                writeStoredBlock(bw, chunk.subspan(off, sn), sub_final);
-                ++res.storedBlocks;
-                off += sn;
-            } while (off < chunk.size());
-        } else if (fixed_cost <= dyn_cost) {
-            bw.writeBits(final ? 1 : 0, 1);
-            bw.writeBits(nx::checked_cast<uint32_t>(BlockType::FixedHuffman),
-                         2);
-            emitTokens(bw, tokens, HuffmanCode::fixedLitLen(),
-                       HuffmanCode::fixedDist());
-            ++res.fixedBlocks;
-        } else {
-            bw.writeBits(final ? 1 : 0, 1);
-            bw.writeBits(nx::checked_cast<uint32_t>(BlockType::DynamicHuffman),
-                         2);
-            writeDynamicHeader(bw, codes);
-            emitTokens(bw, tokens, codes.litlen, codes.dist);
-            ++res.dynamicBlocks;
-        }
-    }
-
-    res.bytes = bw.take();
-    return res;
+    return deflateCompressWithDict(input, {}, opts);
 }
 
 DeflateResult
@@ -306,69 +202,11 @@ deflateCompressWithDict(std::span<const uint8_t> input,
                         std::span<const uint8_t> dict,
                         const DeflateOptions &opts)
 {
-    // The streaming compressor already implements window priming;
-    // one-shot-with-dictionary is a Finish-only stream.
     DeflateResult res;
-    // deflate_stream.h is not included here to avoid a cycle; the
-    // window-primed tokenizer path is reproduced directly.
-    LevelParams params = levelParams(opts.level);
-    if (params.store || input.empty())
-        return deflateCompress(input, opts);
-
-    std::span<const uint8_t> window = dict;
-    if (window.size() > static_cast<size_t>(kWindowSize))
-        window = window.subspan(window.size() - kWindowSize);
-
-    util::BitWriter bw;
-    Lz77Matcher matcher(params);
-    std::vector<uint8_t> buf;
-    buf.reserve(window.size() + opts.blockBytes);
-
-    size_t pos = 0;
-    while (pos < input.size()) {
-        size_t n = std::min(opts.blockBytes, input.size() - pos);
-        bool final = pos + n >= input.size();
-
-        buf.assign(window.begin(), window.end());
-        buf.insert(buf.end(), input.begin() + static_cast<long>(pos),
-                   input.begin() + static_cast<long>(pos + n));
-        auto tokens = matcher.tokenize(buf, window.size());
-        res.tokenCount += tokens.size();
-        res.chainSteps += matcher.chainSteps();
-
-        SymbolFreqs freqs;
-        freqs.accumulate(tokens);
-        uint64_t fixed_cost = 3 + tokenCostBits(
-            freqs, HuffmanCode::fixedLitLen(), HuffmanCode::fixedDist());
-        BlockCodes codes = buildDynamicCodes(freqs);
-        util::BitWriter scratch;
-        uint64_t dyn_cost = 3 + writeDynamicHeader(scratch, codes) +
-            tokenCostBits(freqs, codes.litlen, codes.dist);
-
-        bw.writeBits(final ? 1 : 0, 1);
-        if (fixed_cost <= dyn_cost) {
-            bw.writeBits(nx::checked_cast<uint32_t>(
-                             BlockType::FixedHuffman), 2);
-            emitTokens(bw, tokens, HuffmanCode::fixedLitLen(),
-                       HuffmanCode::fixedDist());
-            ++res.fixedBlocks;
-        } else {
-            bw.writeBits(nx::checked_cast<uint32_t>(
-                             BlockType::DynamicHuffman), 2);
-            writeDynamicHeader(bw, codes);
-            emitTokens(bw, tokens, codes.litlen, codes.dist);
-            ++res.dynamicBlocks;
-        }
-
-        pos += n;
-        // Subsequent blocks see the tail of everything emitted so far.
-        window = std::span<const uint8_t>(input).subspan(
-            pos > static_cast<size_t>(kWindowSize)
-                ? pos - kWindowSize : 0,
-            std::min<size_t>(pos, kWindowSize));
-    }
-
-    res.bytes = bw.take();
+    DeflateStream ds(opts);
+    ds.setDictionary(dict);
+    ds.write(input, Flush::Finish, res.bytes);
+    res.stats = ds.stats();
     return res;
 }
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * Raw DEFLATE (RFC 1951) stream encoder.
+ * Raw DEFLATE (RFC 1951) encoder primitives and the one-call API.
  *
  * Pipeline: LZ77 tokenize -> per-block entropy decision (stored vs fixed
  * vs dynamic Huffman by exact bit cost, like zlib's _tr_flush_block) ->
  * canonical Huffman emission including the code-length-code header.
+ * DeflateStream (deflate_stream.h) runs that pipeline for every stream;
+ * deflateCompress() is a single Finish feed of it.
  *
- * The encoder is also reused piecemeal by the accelerator model: the
- * token-to-bits path (emitBlock with caller-supplied codes) is exactly
- * what the hardware Huffman stage performs.
+ * The primitives below are also reused piecemeal by the accelerator
+ * model: emitTokens() with caller-supplied codes is exactly what the
+ * hardware Huffman stage performs.
  */
 
 #ifndef NXSIM_DEFLATE_DEFLATE_ENCODER_H
@@ -70,20 +72,23 @@ struct DeflateOptions
 {
     int level = 6;              ///< zlib-style level 0..9
     size_t blockBytes = 1u << 18;  ///< input bytes per DEFLATE block
-
-    /** Force fixed-Huffman blocks (accelerator FHT mode uses this path). */
-    bool forceFixed = false;
 };
 
-/** Result of a deflate() call with cost accounting for the timing model. */
-struct DeflateResult
+/** Encoder work and block counts (inputs to the timing model). */
+struct DeflateStats
 {
-    std::vector<uint8_t> bytes;      ///< raw DEFLATE stream
     uint64_t tokenCount = 0;
     uint64_t chainSteps = 0;         ///< LZ77 work metric
     uint64_t storedBlocks = 0;
     uint64_t fixedBlocks = 0;
     uint64_t dynamicBlocks = 0;
+};
+
+/** Result of a one-call compress. */
+struct DeflateResult
+{
+    std::vector<uint8_t> bytes;      ///< raw DEFLATE stream
+    DeflateStats stats;
 };
 
 /** Compress @p input into a raw DEFLATE stream. */

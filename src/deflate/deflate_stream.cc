@@ -6,9 +6,18 @@
 
 namespace deflate {
 
+namespace {
+
+constexpr size_t kWindow = static_cast<size_t>(kWindowSize);
+constexpr size_t kMaxStored = 65535;    ///< a stored block's LEN limit
+
+} // namespace
+
 DeflateStream::DeflateStream(const DeflateOptions &opts)
-    : opts_(opts), matcher_(levelParams(opts.level))
+    : opts_(opts), store_(levelParams(opts.level).store),
+      matcher_(levelParams(opts.level))
 {
+    NXSIM_EXPECT(opts.blockBytes > 0, "blockBytes must be positive");
 }
 
 void
@@ -16,9 +25,10 @@ DeflateStream::setDictionary(std::span<const uint8_t> dict)
 {
     NXSIM_EXPECT(totalIn_ == 0 && !finished_,
                  "setDictionary after writing");
-    if (dict.size() > static_cast<size_t>(kWindowSize))
-        dict = dict.subspan(dict.size() - kWindowSize);
-    window_.assign(dict.begin(), dict.end());
+    if (dict.size() > kWindow)
+        dict = dict.subspan(dict.size() - kWindow);
+    buf_.assign(dict.begin(), dict.end());
+    pendingAt_ = buf_.size();
 }
 
 void
@@ -26,128 +36,100 @@ DeflateStream::write(std::span<const uint8_t> data, Flush flush,
                      std::vector<uint8_t> &out)
 {
     NXSIM_EXPECT(!finished_, "write after Finish");
-    pending_.insert(pending_.end(), data.begin(), data.end());
+    buf_.insert(buf_.end(), data.begin(), data.end());
     totalIn_ += data.size();
 
-    // Emit full blocks as they accumulate.
-    while (pending_.size() >= opts_.blockBytes)
-        emitBlock(false, false, out);
+    // Full blocks go out as they accumulate; the last one is held
+    // back, so a Finish on a whole number of blocks ends on a full one.
+    while (buf_.size() - pendingAt_ > opts_.blockBytes)
+        writeBlock(opts_.blockBytes, false);
 
-    switch (flush) {
-      case Flush::None:
-        break;
-      case Flush::Sync:
-        emitBlock(false, true, out);
-        break;
-      case Flush::Finish:
-        emitBlock(true, false, out);
+    size_t rest = buf_.size() - pendingAt_;
+    if (flush == Flush::Finish) {
+        writeBlock(rest, true);
         finished_ = true;
-        break;
+    } else if (flush == Flush::Sync) {
+        if (rest > 0)
+            writeBlock(rest, false);
+        // Z_SYNC_FLUSH marker: an empty non-final stored block, which
+        // also byte-aligns the stream (00 00 FF FF after the header).
+        writeStored({}, false);
+    }
+
+    // Trim the history to one window once it passes two, so the
+    // front erase is amortised over at least a window of input.
+    if (pendingAt_ > 2 * kWindow) {
+        size_t drop = pendingAt_ - kWindow;
+        buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(drop));
+        pendingAt_ = kWindow;
+    }
+
+    auto bytes = finished_ ? bw_.take() : bw_.drain();
+    totalOut_ += bytes.size();
+    out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
+void
+DeflateStream::writeBlock(size_t n, bool final)
+{
+    size_t hist = std::min(pendingAt_, kWindow);
+    std::span<const uint8_t> span(buf_.data() + pendingAt_ - hist, hist + n);
+    std::span<const uint8_t> block = span.subspan(hist);
+    pendingAt_ += n;
+    if (store_) {
+        writeStored(block, final);
+        return;
+    }
+
+    auto tokens = matcher_.tokenize(span, hist);
+    stats_.tokenCount += tokens.size();
+    stats_.chainSteps += matcher_.chainSteps();
+
+    SymbolFreqs freqs;
+    freqs.accumulate(tokens);
+    const HuffmanCode &fixedLitLen = HuffmanCode::fixedLitLen();
+    const HuffmanCode &fixedDist = HuffmanCode::fixedDist();
+    uint64_t fixed_cost = 3 + tokenCostBits(freqs, fixedLitLen, fixedDist);
+    BlockCodes codes = buildDynamicCodes(freqs);
+    util::BitWriter scratch;
+    uint64_t dyn_cost = 3 + writeDynamicHeader(scratch, codes) +
+        tokenCostBits(freqs, codes.litlen, codes.dist);
+    // 5 framing bytes per stored piece, plus the worst-case alignment.
+    uint64_t stored_cost = (n + 5 * (n / kMaxStored + 1)) * 8 + 8;
+
+    if (stored_cost < dyn_cost && stored_cost < fixed_cost) {
+        writeStored(block, final);
+        return;
+    }
+    bw_.writeBits(final ? 1 : 0, 1);
+    if (fixed_cost <= dyn_cost) {
+        bw_.writeBits(nx::checked_cast<uint32_t>(BlockType::FixedHuffman), 2);
+        emitTokens(bw_, tokens, fixedLitLen, fixedDist);
+        ++stats_.fixedBlocks;
+    } else {
+        bw_.writeBits(nx::checked_cast<uint32_t>(BlockType::DynamicHuffman),
+                      2);
+        writeDynamicHeader(bw_, codes);
+        emitTokens(bw_, tokens, codes.litlen, codes.dist);
+        ++stats_.dynamicBlocks;
     }
 }
 
 void
-DeflateStream::emitBlock(bool final, bool sync,
-                         std::vector<uint8_t> &out)
+DeflateStream::writeStored(std::span<const uint8_t> data, bool final)
 {
-    // Take up to one block of pending input.
-    size_t n = std::min(pending_.size(), opts_.blockBytes);
-
-    if (n > 0 || final) {
-        // Assemble [window | chunk] so matches can cross the boundary.
-        std::vector<uint8_t> buf;
-        buf.reserve(window_.size() + n);
-        buf.insert(buf.end(), window_.begin(), window_.end());
-        buf.insert(buf.end(), pending_.begin(),
-                   pending_.begin() + static_cast<long>(n));
-
-        std::span<const uint8_t> chunk(buf.data() + window_.size(), n);
-        auto tokens = matcher_.tokenize(buf, window_.size());
-
-        SymbolFreqs freqs;
-        freqs.accumulate(tokens);
-        uint64_t fixed_cost = 3 + tokenCostBits(
-            freqs, HuffmanCode::fixedLitLen(), HuffmanCode::fixedDist());
-
-        bool use_fixed = true;
-        BlockCodes codes;
-        uint64_t dyn_cost = UINT64_MAX;
-        if (!opts_.forceFixed) {
-            codes = buildDynamicCodes(freqs);
-            util::BitWriter scratch;
-            uint64_t hdr = writeDynamicHeader(scratch, codes);
-            dyn_cost = 3 + hdr +
-                tokenCostBits(freqs, codes.litlen, codes.dist);
-            use_fixed = fixed_cost <= dyn_cost;
-        }
-
-        uint64_t stored_cost =
-            (n + 5 * (n / 65535 + 1)) * 8 + 8;
-        bool use_stored = !opts_.forceFixed &&
-            stored_cost < std::min(fixed_cost, dyn_cost);
-
-        if (use_stored) {
-            size_t off = 0;
-            do {
-                size_t sn = std::min<size_t>(n - off, 65535);
-                bool sub_final = final && off + sn >= n;
-                bw_.writeBits(sub_final ? 1 : 0, 1);
-                bw_.writeBits(0, 2);
-                bw_.alignToByte();
-                auto len = nx::checked_cast<uint16_t>(sn);
-                bw_.writeU16le(len);
-                bw_.writeU16le(nx::truncate_cast<uint16_t>(~len));
-                bw_.writeBytes(chunk.subspan(off, sn));
-                off += sn;
-            } while (off < n);
-            if (final)
-                emittedFinal_ = true;
-        } else {
-            bw_.writeBits(final ? 1 : 0, 1);
-            if (use_fixed) {
-                bw_.writeBits(
-                    nx::checked_cast<uint32_t>(BlockType::FixedHuffman), 2);
-                emitTokens(bw_, tokens, HuffmanCode::fixedLitLen(),
-                           HuffmanCode::fixedDist());
-            } else {
-                bw_.writeBits(
-                    nx::checked_cast<uint32_t>(BlockType::DynamicHuffman),
-                    2);
-                writeDynamicHeader(bw_, codes);
-                emitTokens(bw_, tokens, codes.litlen, codes.dist);
-            }
-            if (final)
-                emittedFinal_ = true;
-        }
-
-        // Update the carry window with the newly consumed bytes.
-        window_.insert(window_.end(), chunk.begin(), chunk.end());
-        if (window_.size() > static_cast<size_t>(kWindowSize)) {
-            window_.erase(window_.begin(),
-                          window_.end() - kWindowSize);
-        }
-        pending_.erase(pending_.begin(),
-                       pending_.begin() + static_cast<long>(n));
-    }
-
-    if (sync) {
-        // Z_SYNC_FLUSH marker: empty non-final stored block, which
-        // also byte-aligns the stream (00 00 FF FF after the header).
-        bw_.writeBits(0, 1);
-        bw_.writeBits(0, 2);
+    do {
+        size_t n = std::min(data.size(), kMaxStored);
+        bw_.writeBits(final && n == data.size() ? 1 : 0, 1);
+        bw_.writeBits(nx::checked_cast<uint32_t>(BlockType::Stored), 2);
         bw_.alignToByte();
-        bw_.writeU16le(0);
-        bw_.writeU16le(0xffff);
-    }
-
-    if (final) {
-        NXSIM_ASSERT(emittedFinal_);
-        bw_.alignToByte();
-    }
-
-    auto bytes = final ? bw_.take() : bw_.drain();
-    totalOut_ += bytes.size();
-    out.insert(out.end(), bytes.begin(), bytes.end());
+        auto len = nx::checked_cast<uint16_t>(n);
+        bw_.writeU16le(len);
+        bw_.writeU16le(nx::truncate_cast<uint16_t>(~len));
+        bw_.writeBytes(data.first(n));
+        data = data.subspan(n);
+        ++stats_.storedBlocks;
+    } while (!data.empty());
 }
 
 } // namespace deflate

@@ -229,10 +229,6 @@ Lz77Matcher::tokenize(std::span<const uint8_t> input, size_t start)
         // Input ended while holding a pending match: the final decision
         // defaults to emitting it.
         out.push_back(Token::match(prev_len, prev_dist));
-        // prev match started at input.size()-? — it consumed through the
-        // end; any tail bytes it did not cover were already handled since
-        // pos only advances past consumed bytes. Trim overhang:
-        // (cannot happen: findMatch caps length at buffer end).
     }
 
     return out;

@@ -152,7 +152,7 @@ TEST(DeflateEncoder, RandomDataFallsBackToStored)
     auto res = deflateCompress(input);
     // Incompressible data should mostly use stored blocks, keeping
     // expansion under the stored-block framing overhead (~0.03 %).
-    EXPECT_GE(res.storedBlocks, 1u);
+    EXPECT_GE(res.stats.storedBlocks, 1u);
     EXPECT_LT(res.bytes.size(), input.size() + input.size() / 100 + 64);
 }
 
@@ -160,7 +160,7 @@ TEST(DeflateEncoder, TextUsesDynamicBlocksAndCompresses)
 {
     auto input = makeData(Shape::Text, 200000, 43);
     auto res = deflateCompress(input);
-    EXPECT_GE(res.dynamicBlocks, 1u);
+    EXPECT_GE(res.stats.dynamicBlocks, 1u);
     EXPECT_LT(res.bytes.size(), input.size() / 3);
 }
 
@@ -169,20 +169,6 @@ TEST(DeflateEncoder, ZerosCompressExtremely)
     auto input = makeData(Shape::Zeros, 1 << 20, 0);
     auto res = deflateCompress(input);
     EXPECT_LT(res.bytes.size(), 2048u);
-    auto out = inflateDecompress(res.bytes);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(out.bytes, input);
-}
-
-TEST(DeflateEncoder, ForceFixedProducesOnlyFixedBlocks)
-{
-    auto input = makeData(Shape::Text, 100000, 44);
-    DeflateOptions opts;
-    opts.forceFixed = true;
-    auto res = deflateCompress(input, opts);
-    EXPECT_EQ(res.dynamicBlocks, 0u);
-    EXPECT_EQ(res.storedBlocks, 0u);
-    EXPECT_GE(res.fixedBlocks, 1u);
     auto out = inflateDecompress(res.bytes);
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out.bytes, input);
@@ -212,11 +198,30 @@ TEST(DeflateEncoder, SmallBlockSizeStillRoundTrips)
     DeflateOptions opts;
     opts.blockBytes = 4096;
     auto res = deflateCompress(input, opts);
-    EXPECT_GE(res.dynamicBlocks + res.fixedBlocks + res.storedBlocks,
+    EXPECT_GE(res.stats.dynamicBlocks + res.stats.fixedBlocks +
+                  res.stats.storedBlocks,
               20u);
     auto out = inflateDecompress(res.bytes);
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out.bytes, input);
+}
+
+TEST(DeflateEncoder, MatchesCrossBlockBoundaries)
+{
+    // Two copies of one page, one page per block: the second block is
+    // one long match into the first, so the pair costs little more
+    // than the page alone.
+    auto page = makeData(Shape::Text, 4096, 48);
+    std::vector<uint8_t> two(page);
+    two.insert(two.end(), page.begin(), page.end());
+    DeflateOptions opts;
+    opts.blockBytes = 4096;
+    auto one = deflateCompress(page, opts);
+    auto res = deflateCompress(two, opts);
+    EXPECT_LT(res.bytes.size() * 4, one.bytes.size() * 5);
+    auto out = inflateDecompress(res.bytes);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.bytes, two);
 }
 
 TEST(DeflateEncoder, MultiBlockBoundariesExact)
@@ -235,8 +240,9 @@ TEST(DeflateEncoder, StatsAreConsistent)
 {
     auto input = makeData(Shape::Text, 100000, 47);
     auto res = deflateCompress(input);
-    EXPECT_GT(res.tokenCount, 0u);
-    EXPECT_GT(res.chainSteps, 0u);
-    EXPECT_EQ(res.storedBlocks + res.fixedBlocks + res.dynamicBlocks,
+    EXPECT_GT(res.stats.tokenCount, 0u);
+    EXPECT_GT(res.stats.chainSteps, 0u);
+    EXPECT_EQ(res.stats.storedBlocks + res.stats.fixedBlocks +
+                  res.stats.dynamicBlocks,
               1u);
 }

@@ -90,6 +90,36 @@ TEST(Dictionary, OnlyLast32KUsed)
     EXPECT_EQ(out.bytes, input);
 }
 
+TEST(Dictionary, IncompressibleInputIsStored)
+{
+    // A dictionary does not stop a random input from being stored:
+    // one stored block, 5 bytes of framing.
+    auto dict = workloads::makeText(32768, 113);
+    auto input = workloads::makeRandom(4096, 114);
+    auto res = deflateCompressWithDict(input, dict);
+    EXPECT_LE(res.bytes.size(), input.size() + 5);
+    auto out = inflateDecompressWithDict(res.bytes, dict);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.bytes, input);
+}
+
+TEST(Dictionary, KeptAcrossSmallBlocks)
+{
+    // The second block repeats the dictionary's first 4 KiB. It costs
+    // a few long matches only if the dictionary is still in the window
+    // after the first block.
+    auto dict = workloads::makeText(16384, 115);
+    auto input = workloads::makeRandom(4096, 116);
+    input.insert(input.end(), dict.begin(), dict.begin() + 4096);
+    deflate::DeflateOptions opts;
+    opts.blockBytes = 4096;
+    auto res = deflateCompressWithDict(input, dict, opts);
+    EXPECT_LT(res.bytes.size(), 4096u + 5 + 256);
+    auto out = inflateDecompressWithDict(res.bytes, dict);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.bytes, input);
+}
+
 TEST(ZlibFdict, RoundTrip)
 {
     auto dict = workloads::makeCsv(16384, 106);

@@ -170,6 +170,93 @@ TEST(DeflateStream, TotalsTrack)
     EXPECT_EQ(ds.totalOut(), out.size());
 }
 
+TEST(DeflateStream, LevelZeroWritesOnlyStoredBlocks)
+{
+    auto input = workloads::makeText(10000, 95);
+    std::span<const uint8_t> in(input);
+    DeflateOptions opts;
+    opts.level = 0;
+    DeflateStream ds(opts);
+    std::vector<uint8_t> out;
+    ds.write(in.first(3000), Flush::None, out);
+    ds.write(in.subspan(3000, 3000), Flush::Sync, out);
+    ds.write(in.subspan(6000), Flush::Finish, out);
+
+    auto res = deflate::inflateDecompress(out);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res.bytes, input);
+    EXPECT_EQ(res.stats.fixedBlocks, 0u);
+    EXPECT_EQ(res.stats.dynamicBlocks, 0u);
+
+    // A single Finish feed is the one-call compress.
+    DeflateStream single(opts);
+    std::vector<uint8_t> one;
+    single.write(input, Flush::Finish, one);
+    EXPECT_EQ(one, deflate::deflateCompress(input, opts).bytes);
+}
+
+TEST(DeflateStream, FinishOnWholeBlocksAddsNoEmptyBlock)
+{
+    // 8 KiB in 4 KiB blocks is two blocks, whether the Finish carries
+    // the data or follows it.
+    auto input = workloads::makeText(8192, 96);
+    DeflateOptions opts;
+    opts.blockBytes = 4096;
+    for (Flush first : {Flush::Finish, Flush::None}) {
+        DeflateStream ds(opts);
+        std::vector<uint8_t> out;
+        ds.write(input, first, out);
+        if (first == Flush::None)
+            ds.write({}, Flush::Finish, out);
+        auto res = deflate::inflateDecompress(out);
+        ASSERT_TRUE(res.ok());
+        EXPECT_EQ(res.bytes, input);
+        EXPECT_EQ(res.stats.storedBlocks + res.stats.fixedBlocks +
+                      res.stats.dynamicBlocks,
+                  2u);
+    }
+}
+
+TEST(DeflateStream, StatsCountBlocksLikeTheDecoder)
+{
+    // Random chunking with Sync flushes, at a level that stores
+    // (0) and ones that code (1, 6): the encoder's block counts, Sync
+    // markers included, are what the decoder sees.
+    auto input = workloads::makeMixed(50000, 97);
+    for (int level : {0, 1, 6}) {
+        util::Xoshiro256 rng(static_cast<uint64_t>(level) + 98);
+        DeflateOptions opts;
+        opts.level = level;
+        opts.blockBytes = 8192;
+        DeflateStream ds(opts);
+        std::vector<uint8_t> out;
+        std::span<const uint8_t> in(input);
+        while (!in.empty()) {
+            size_t n = std::min<size_t>(1 + rng.below(12000), in.size());
+            ds.write(in.first(n), rng.chance(0.3) ? Flush::Sync : Flush::None,
+                     out);
+            in = in.subspan(n);
+        }
+        ds.write({}, Flush::Finish, out);
+
+        auto res = deflate::inflateDecompress(out);
+        ASSERT_TRUE(res.ok()) << level;
+        EXPECT_EQ(res.bytes, input) << level;
+        const deflate::DeflateStats &st = ds.stats();
+        EXPECT_EQ(st.storedBlocks, res.stats.storedBlocks) << level;
+        EXPECT_EQ(st.fixedBlocks, res.stats.fixedBlocks) << level;
+        EXPECT_EQ(st.dynamicBlocks, res.stats.dynamicBlocks) << level;
+        EXPECT_EQ(st.tokenCount == 0, level == 0) << level;
+    }
+}
+
+TEST(DeflateStreamDeathTest, ZeroBlockBytesIsAContractViolation)
+{
+    DeflateOptions opts;
+    opts.blockBytes = 0;
+    EXPECT_DEATH(DeflateStream{opts}, "blockBytes must be positive");
+}
+
 TEST(InflateStream, ByteAtATime)
 {
     auto input = workloads::makeCsv(20000, 88);

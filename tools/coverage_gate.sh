@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Line-coverage gate (the ci.sh coverage stage) for the files listed in
 # tools/coverage_baseline.txt: the session layer and the DEFLATE
-# decoder.
+# decoder and encoder.
 #
 # Expects a build tree configured with the `coverage` preset
 # (NXSIM_COVERAGE=ON) in which the `session`-, `load`- and
