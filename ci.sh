@@ -24,16 +24,22 @@
 #   9. coverage        gcov build; runs the `session`, `load` and
 #                      `codec` ctest labels and gates the line coverage
 #                      of src/core/session.cc,
-#                      src/deflate/inflate_stream.cc and
-#                      src/deflate/deflate_stream.cc against
-#                      tools/coverage_baseline.txt
+#                      src/deflate/inflate_stream.cc,
+#                      src/deflate/deflate_stream.cc,
+#                      src/deflate/lz77.cc and src/deflate/huffman.cc
+#                      against tools/coverage_baseline.txt
 #  10. clang-tsa       Clang -Wthread-safety over the lock annotations
 #                      (src/util/thread_annotations.h); skipped with a
 #                      notice when clang++ is absent
 #  11. bench smoke     bench_l1_serving --smoke --json out of build-ci:
 #                      schema-checks the emitted BENCH json and diffs
 #                      its scenario names/digests against the committed
-#                      BENCH_l1_serving.json (plan determinism)
+#                      BENCH_l1_serving.json (plan determinism); then
+#                      re-runs bench_a3_sw_codec's BM_DeflateLevel and
+#                      BM_InflateRecord at a minimal min-time and diffs
+#                      their ratio and dynamic_blocks counters exactly
+#                      against the committed BENCH_a3_sw_codec.json
+#                      (timings are recorded there, not diffed)
 #  12. perfbench       configures and builds the benchmark package
 #                      (perfbench/CMakeLists.txt) in build-perfbench and
 #                      runs its ctest: the self-tests (every workload in
@@ -144,7 +150,7 @@ else
     echo "clang++ not found; skipping clang-tsa stage"
 fi
 
-stage "bench smoke (L1 serving harness)" "11/14"
+stage "bench smoke (L1 serving harness, A3 counters)" "11/14"
 ./build-ci/bench/bench_l1_serving --smoke --json \
     > build-ci/bench_l1_smoke.json
 grep -q '"schema_version": 1' build-ci/bench_l1_smoke.json
@@ -160,6 +166,23 @@ if grep -q '"smoke": true' BENCH_l1_serving.json; then
     diff -u build-ci/BENCH_l1_serving.json.schema \
         build-ci/bench_l1_smoke.json.schema
 fi
+# Software-codec output: the multi-block deflate of the 2 MiB sample at
+# five levels and the record inflates must reproduce the committed
+# counters exactly. The encoder is deterministic, so any move here is
+# an output change, never noise.
+./build-ci/bench/bench_a3_sw_codec \
+    --benchmark_filter='BM_(DeflateLevel|InflateRecord)/' \
+    --benchmark_min_time=0.01 --benchmark_format=json \
+    > build-ci/bench_a3_smoke.json
+for f in build-ci/bench_a3_smoke.json BENCH_a3_sw_codec.json; do
+    awk '/"name":/ { keep = /"BM_(DeflateLevel|InflateRecord)\// }
+         keep && /"(name|ratio|dynamic_blocks)":/' "$f" \
+        > "build-ci/$(basename "$f").counters"
+done
+grep -q '"ratio":' build-ci/bench_a3_smoke.json.counters
+grep -q '"dynamic_blocks":' build-ci/bench_a3_smoke.json.counters
+diff -u build-ci/BENCH_a3_sw_codec.json.counters \
+    build-ci/bench_a3_smoke.json.counters
 
 stage "perfbench (benchmark package + self-tests)" "12/14"
 cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo

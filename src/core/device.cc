@@ -213,7 +213,7 @@ SoftwareCodec::compress(std::span<const uint8_t> source,
         out.csb.checksum = deflate::gzipTrailerCrc(out.data);
         break;
       case nx::Framing::Zlib:
-        out.data = deflate::zlibWrap(res.bytes, source);
+        out.data = deflate::zlibWrap(res.bytes, source, level_);
         out.csb.checksum = deflate::zlibTrailerAdler(out.data);
         break;
     }

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include "util/checked.h"
+#include "util/contracts.h"
 
 namespace deflate {
 
@@ -101,6 +102,35 @@ struct LengthCodeTable
 
 inline const LengthCodeTable kLengthCodeTable;
 
+/**
+ * Distance code lookup in zlib's 512-entry _dist_code layout: distances
+ * up to 256 index it directly by dist - 1, longer ones by 256 +
+ * ((dist - 1) >> 7). Codes 16..29 start at multiples of 128 past 1 and
+ * span at least 128 distances, so the shifted index never splits one.
+ */
+struct DistCodeTable
+{
+    std::array<uint8_t, 512> code{};
+
+    static size_t
+    index(int dist)
+    {
+        auto d = static_cast<size_t>(dist - 1);
+        return d < 256 ? d : 256 + (d >> 7);
+    }
+
+    DistCodeTable()
+    {
+        for (size_t c = 0; c < kDistBase.size(); ++c) {
+            int base = kDistBase[c];
+            for (int d = base; d < base + (1 << kDistExtra[c]); ++d)
+                code[index(d)] = nx::checked_cast<uint8_t>(c);
+        }
+    }
+};
+
+inline const DistCodeTable kDistCodeTable;
+
 } // namespace detail
 
 inline int
@@ -114,17 +144,9 @@ lengthToCode(int length)
 inline int
 distToCode(int dist)
 {
-    // Binary search over the 30-entry base table.
-    int lo = 0;
-    int hi = kNumDist - 1;
-    while (lo < hi) {
-        int mid = (lo + hi + 1) / 2;
-        if (kDistBase[static_cast<size_t>(mid)] <= dist)
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    return lo;
+    NXSIM_EXPECT(1 <= dist && dist <= kWindowSize,
+                 "distance outside the window");
+    return detail::kDistCodeTable.code[detail::DistCodeTable::index(dist)];
 }
 
 } // namespace deflate

@@ -91,8 +91,8 @@ DeflateStream::writeBlock(size_t n, bool final)
     const HuffmanCode &fixedDist = HuffmanCode::fixedDist();
     uint64_t fixed_cost = 3 + tokenCostBits(freqs, fixedLitLen, fixedDist);
     BlockCodes codes = buildDynamicCodes(freqs);
-    util::BitWriter scratch;
-    uint64_t dyn_cost = 3 + writeDynamicHeader(scratch, codes) +
+    util::BitWriter header;
+    uint64_t dyn_cost = 3 + writeDynamicHeader(header, codes) +
         tokenCostBits(freqs, codes.litlen, codes.dist);
     // 5 framing bytes per stored piece, plus the worst-case alignment.
     uint64_t stored_cost = (n + 5 * (n / kMaxStored + 1)) * 8 + 8;
@@ -101,6 +101,7 @@ DeflateStream::writeBlock(size_t n, bool final)
         writeStored(block, final);
         return;
     }
+    bw_.reserveBits(std::min(fixed_cost, dyn_cost));
     bw_.writeBits(final ? 1 : 0, 1);
     if (fixed_cost <= dyn_cost) {
         bw_.writeBits(nx::checked_cast<uint32_t>(BlockType::FixedHuffman), 2);
@@ -109,7 +110,7 @@ DeflateStream::writeBlock(size_t n, bool final)
     } else {
         bw_.writeBits(nx::checked_cast<uint32_t>(BlockType::DynamicHuffman),
                       2);
-        writeDynamicHeader(bw_, codes);
+        bw_.append(header);
         emitTokens(bw_, tokens, codes.litlen, codes.dist);
         ++stats_.dynamicBlocks;
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include "util/contracts.h"
-#include <queue>
 #include "util/checked.h"
 
 namespace deflate {
@@ -26,30 +25,6 @@ constexpr std::array<uint8_t, 32> kFixedDistLengths = [] {
     lengths.fill(5);
     return lengths;
 }();
-
-/** Internal tree node for the frequency heap. */
-struct Node
-{
-    uint64_t freq;
-    int symbol;       // >= 0 for leaves, -1 for internal
-    int left = -1;    // indices into the node pool
-    int right = -1;
-};
-
-/** Depth-assigning DFS over the built tree. */
-void
-assignDepths(const std::vector<Node> &pool, int idx, int depth,
-             std::vector<uint8_t> &lengths)
-{
-    const Node &n = pool[static_cast<size_t>(idx)];
-    if (n.symbol >= 0) {
-        lengths[static_cast<size_t>(n.symbol)] =
-            nx::checked_cast<uint8_t>(std::max(depth, 1));
-        return;
-    }
-    assignDepths(pool, n.left, depth + 1, lengths);
-    assignDepths(pool, n.right, depth + 1, lengths);
-}
 
 /**
  * Enforce the max_bits limit the way zlib does: demote overlong codes to
@@ -91,12 +66,7 @@ limitLengths(std::vector<uint8_t> &lengths, int max_bits,
     // (moving one leaf down costs 2^-(l+1)), preferring the lowest
     // frequency symbol so the ratio impact is minimal.
     while (kraft > budget) {
-        // Take one code of the longest length < max_bits with entries...
-        // zlib's approach: find max length bits with blCount[bits] > 0 and
-        // bits < max_bits is wrong direction; instead shorten the tree:
-        // move a leaf from max_bits to max_bits (no-op) doesn't help.
-        // Standard fix: find the largest bits < max_bits with a code,
-        // turn one of its codes into two max-ish codes.
+        // Lengthen one code of the longest length below max_bits by a bit.
         size_t bits = maxBits - 1;
         while (bits > 0 && blCount[bits] == 0)
             --bits;
@@ -148,43 +118,47 @@ buildCodeLengths(std::span<const uint64_t> freqs, int max_bits)
 {
     std::vector<uint8_t> lengths(freqs.size(), 0);
 
-    std::vector<Node> pool;
-    pool.reserve(freqs.size() * 2);
-    // Min-heap of pool indices by (freq, tie-break on index for
-    // determinism).
-    auto cmp = [&pool](size_t a, size_t b) {
-        if (pool[a].freq != pool[b].freq)
-            return pool[a].freq > pool[b].freq;
-        return a > b;
-    };
-    std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)>
-        heap(cmp);
-
-    for (size_t s = 0; s < freqs.size(); ++s) {
-        if (freqs[s] == 0)
-            continue;
-        pool.push_back({freqs[s], nx::checked_cast<int>(s)});
-        heap.push(pool.size() - 1);
-    }
-
-    if (heap.empty())
-        return lengths;
-    if (heap.size() == 1) {
-        lengths[static_cast<size_t>(pool[heap.top()].symbol)] = 1;
+    // Two-queue Huffman: node i < n is the i-th leaf in (freq, symbol)
+    // order, node n + k the k-th merge. Merged weights never decrease,
+    // so the lighter queue front, the leaf on a tie, is always the
+    // (freq, node) minimum a heap over the nodes would pop.
+    std::vector<uint32_t> leaves;
+    for (size_t s = 0; s < freqs.size(); ++s)
+        if (freqs[s] != 0)
+            leaves.push_back(nx::checked_cast<uint32_t>(s));
+    if (leaves.size() <= 1) {
+        if (!leaves.empty())
+            lengths[leaves[0]] = 1;
         return lengths;
     }
+    std::stable_sort(leaves.begin(), leaves.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return freqs[a] < freqs[b];
+                     });
 
-    while (heap.size() > 1) {
-        size_t a = heap.top();
-        heap.pop();
-        size_t b = heap.top();
-        heap.pop();
-        pool.push_back({pool[a].freq + pool[b].freq, -1,
-                        nx::checked_cast<int>(a), nx::checked_cast<int>(b)});
-        heap.push(pool.size() - 1);
+    const size_t n = leaves.size();
+    std::vector<uint64_t> weight(2 * n - 1);
+    std::vector<size_t> parent(2 * n - 1);
+    for (size_t i = 0; i < n; ++i)
+        weight[i] = freqs[leaves[i]];
+    size_t leaf = 0;
+    size_t merged = n;
+    for (size_t node = n; node < weight.size(); ++node) {
+        for (int child = 0; child < 2; ++child) {
+            size_t c = leaf < n && (merged == node ||
+                                    weight[leaf] <= weight[merged])
+                ? leaf++ : merged++;
+            weight[node] += weight[c];
+            parent[c] = node;
+        }
     }
 
-    assignDepths(pool, nx::checked_cast<int>(heap.top()), 0, lengths);
+    // Children precede their parent, so depths fill from the root down.
+    std::vector<uint8_t> depth(weight.size(), 0);
+    for (size_t i = weight.size() - 1; i-- > 0;)
+        depth[i] = nx::checked_cast<uint8_t>(depth[parent[i]] + 1);
+    for (size_t i = 0; i < n; ++i)
+        lengths[leaves[i]] = depth[i];
     limitLengths(lengths, max_bits, freqs);
     return lengths;
 }

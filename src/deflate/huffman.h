@@ -4,8 +4,8 @@
  *
  * Three layers:
  *  - buildCodeLengths(): frequencies -> length-limited code lengths
- *    (Huffman tree via a heap, with zlib-style overflow fix-up to respect
- *    the 15-bit / 7-bit limits);
+ *    (a two-queue Huffman tree, with zlib-style overflow fix-up to
+ *    respect the 15-bit / 7-bit limits);
  *  - HuffmanCode: code lengths -> canonical codes ready for a BitWriter;
  *  - HuffmanDecodeTable: code lengths -> root lookup table sized to the
  *    code (at most 2^10 entries) plus a canonical walk for longer codes.

@@ -1,10 +1,42 @@
 #include "deflate/lz77.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include "util/checked.h"
+#include "util/contracts.h"
 
 namespace deflate {
+
+namespace {
+
+/**
+ * Length of the common prefix of @p a and @p b, at most @p max_len:
+ * eight bytes per step, where the first differing byte is the lowest
+ * set byte of the XOR on a little-endian host and the highest on a
+ * big-endian one, then bytewise for the last few.
+ */
+size_t
+commonPrefix(const uint8_t *a, const uint8_t *b, size_t max_len)
+{
+    size_t len = 0;
+    for (; len + 8 <= max_len; len += 8) {
+        uint64_t x = 0;
+        uint64_t y = 0;
+        std::memcpy(&x, a + len, 8);
+        std::memcpy(&y, b + len, 8);
+        if (uint64_t diff = x ^ y) {
+            int bits = std::endian::native == std::endian::little
+                ? std::countr_zero(diff) : std::countl_zero(diff);
+            return len + static_cast<size_t>(bits / 8);
+        }
+    }
+    while (len < max_len && a[len] == b[len])
+        ++len;
+    return len;
+}
+
+} // namespace
 
 TokenStats
 summarize(std::span<const Token> tokens)
@@ -68,8 +100,8 @@ tokensReproduce(std::span<const Token> tokens,
 
 Lz77Matcher::Lz77Matcher(const LevelParams &params)
     : params_(params),
-      head_(size_t{1} << kHashBits, kNoPos),
-      prev_(kWindowSize, kNoPos)
+      head_(std::make_unique_for_overwrite<uint32_t[]>(kHashSize)),
+      prev_(std::make_unique_for_overwrite<uint32_t[]>(kWindowSize))
 {
 }
 
@@ -109,9 +141,7 @@ Lz77Matcher::findMatch(std::span<const uint8_t> in, size_t pos,
             cand = prev_[cand & (kWindowSize - 1)];
             continue;
         }
-        size_t len = 0;
-        while (len < max_len && ref[len] == cur[len])
-            ++len;
+        size_t len = commonPrefix(ref, cur, max_len);
         if (nx::checked_cast<int>(len) > best_len) {
             best_len = nx::checked_cast<int>(len);
             best_dist = nx::checked_cast<int>(pos - cand);
@@ -136,8 +166,7 @@ Lz77Matcher::tokenize(std::span<const uint8_t> input)
 std::vector<Token>
 Lz77Matcher::tokenize(std::span<const uint8_t> input, size_t start)
 {
-    std::fill(head_.begin(), head_.end(), kNoPos);
-    std::fill(prev_.begin(), prev_.end(), kNoPos);
+    NXSIM_EXPECT(start <= input.size(), "history longer than the input");
     chainSteps_ = 0;
 
     std::vector<Token> out;
@@ -148,6 +177,13 @@ Lz77Matcher::tokenize(std::span<const uint8_t> input, size_t start)
             out.push_back(Token::lit(input[p]));
         return out;
     }
+
+    // prev_ is never cleared, as in zlib: a chain reads prev_[p & mask]
+    // only for a position p that head_ or prev_ handed out, so this call
+    // inserted p, and only while p is inside the window of the position
+    // searched, so every later insert, being below that position and so
+    // below p + kWindowSize, used another slot.
+    std::fill_n(head_.get(), kHashSize, kNoPos);
 
     // Prime the hash table with the history prefix (only the last
     // window's worth can ever be referenced).
@@ -164,12 +200,17 @@ Lz77Matcher::tokenize(std::span<const uint8_t> input, size_t start)
 
     while (pos < input.size()) {
         int dist = 0;
-        int chain = params_.maxChain;
-        // zlib halves the chain effort when the previous match was already
-        // "good"; model the same economy.
-        if (have_prev && prev_len >= params_.goodLength)
-            chain >>= 2;
-        int len = findMatch(input, pos, chain, params_.niceLength, dist);
+        int len = 0;
+        // A pending match of maxLazy or more is emitted whatever this
+        // position holds, so zlib's deflate_slow skips the search.
+        if (!have_prev || prev_len < params_.maxLazy) {
+            int chain = params_.maxChain;
+            // zlib quarters the chain effort when the previous match was
+            // already "good"; model the same economy.
+            if (have_prev && prev_len >= params_.goodLength)
+                chain >>= 2;
+            len = findMatch(input, pos, chain, params_.niceLength, dist);
+        }
 
         if (!params_.lazy) {
             // deflate_fast: take matches greedily.
@@ -193,11 +234,9 @@ Lz77Matcher::tokenize(std::span<const uint8_t> input, size_t start)
         // deflate_slow: defer the decision one byte to catch longer
         // matches starting at pos+1.
         if (have_prev) {
-            bool cur_better = len > prev_len &&
-                prev_len < params_.maxLazy;
-            if (!cur_better) {
-                // Emit the previous match; positions pos-1 .. pos-1+len-1
-                // are consumed. We already inserted pos-1 and pos.
+            if (len <= prev_len) {
+                // Emit the previous match, which covers pos-1 ..
+                // pos-1+prev_len-1; pos-1 is already inserted.
                 out.push_back(Token::match(prev_len, prev_dist));
                 size_t end = (pos - 1) + static_cast<size_t>(prev_len);
                 for (size_t p = pos; p < end; ++p)

@@ -14,6 +14,7 @@
 #define NXSIM_DEFLATE_LZ77_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -111,7 +112,8 @@ class Lz77Matcher
     }
 
     /**
-     * Longest match at @p pos against chain candidates.
+     * Longest match at @p pos against chain candidates; the first
+     * candidate reaching the longest length wins.
      * @return length (0 or >= kMinMatch) and sets @p match_dist
      */
     int findMatch(std::span<const uint8_t> in, size_t pos, int max_chain,
@@ -120,11 +122,12 @@ class Lz77Matcher
     void insert(std::span<const uint8_t> in, size_t pos);
 
     static constexpr int kHashBits = 15;
+    static constexpr size_t kHashSize = size_t{1} << kHashBits;
     static constexpr uint32_t kNoPos = 0xffffffffu;
 
     LevelParams params_;
-    std::vector<uint32_t> head_;   // hash -> most recent position
-    std::vector<uint32_t> prev_;   // position & window mask -> older pos
+    std::unique_ptr<uint32_t[]> head_;   // hash -> most recent position
+    std::unique_ptr<uint32_t[]> prev_;   // position & window mask -> older
     uint64_t chainSteps_ = 0;
 };
 

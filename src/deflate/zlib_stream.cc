@@ -21,6 +21,23 @@ readBe32(std::span<const uint8_t> bytes, size_t p)
         nx::checked_cast<uint32_t>(bytes[p + 3]);
 }
 
+/** CMF: method 8 (deflate) with a 32 KiB window (CINFO 7). */
+constexpr uint8_t kCmf = 0x78;
+
+/**
+ * The FLG byte: FLEVEL as zlib's deflate.c sets it (levels 0-1 give 0,
+ * 2-5 give 1, 6 gives 2, 7-9 give 3), FDICT, and the FCHECK that makes
+ * CMF * 256 + FLG a multiple of 31.
+ */
+uint8_t
+zlibFlg(int level, bool fdict)
+{
+    unsigned flevel = level >= 7 ? 3 : level == 6 ? 2 : level >= 2 ? 1 : 0;
+    unsigned flg = (flevel << 6) | (fdict ? 0x20u : 0u);
+    unsigned fcheck = (31 - (kCmf * 256u + flg) % 31) % 31;
+    return nx::checked_cast<uint8_t>(flg + fcheck);
+}
+
 } // namespace
 
 std::vector<uint8_t>
@@ -29,17 +46,8 @@ zlibWrap(std::span<const uint8_t> deflate_stream,
 {
     std::vector<uint8_t> out;
     out.reserve(deflate_stream.size() + 6);
-    // CMF: method 8, 32K window (CINFO=7).
-    uint8_t cmf = 0x78;
-    // FLEVEL from the nominal level.
-    uint8_t flevel = level >= 7 ? 3 : level >= 5 ? 2 : level >= 2 ? 1 : 0;
-    uint8_t flg = nx::checked_cast<uint8_t>(flevel << 6);
-    // FCHECK makes (cmf*256 + flg) a multiple of 31.
-    unsigned rem = (nx::checked_cast<unsigned>(cmf) * 256 + flg) % 31;
-    if (rem != 0)
-        flg = nx::checked_cast<uint8_t>(flg + (31 - rem));
-    out.push_back(cmf);
-    out.push_back(flg);
+    out.push_back(kCmf);
+    out.push_back(zlibFlg(level, false));
     out.insert(out.end(), deflate_stream.begin(), deflate_stream.end());
     uint32_t adler = util::adler32(original);
     for (int i = 3; i >= 0; --i)    // Adler is stored big-endian
@@ -104,15 +112,8 @@ zlibWrapWithDict(std::span<const uint8_t> deflate_stream,
 {
     std::vector<uint8_t> out;
     out.reserve(deflate_stream.size() + 10);
-    uint8_t cmf = 0x78;
-    uint8_t flevel = level >= 7 ? 3 : level >= 5 ? 2 : level >= 2 ? 1
-                                                                  : 0;
-    uint8_t flg = nx::checked_cast<uint8_t>((flevel << 6) | 0x20);  // FDICT
-    unsigned rem = (nx::checked_cast<unsigned>(cmf) * 256 + flg) % 31;
-    if (rem != 0)
-        flg = nx::checked_cast<uint8_t>(flg + (31 - rem));
-    out.push_back(cmf);
-    out.push_back(flg);
+    out.push_back(kCmf);
+    out.push_back(zlibFlg(level, true));
     uint32_t dictid = util::adler32(dict);
     for (int i = 3; i >= 0; --i)
         out.push_back(nx::checked_cast<uint8_t>((dictid >> (8 * i)) & 0xff));

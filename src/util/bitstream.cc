@@ -8,31 +8,32 @@ namespace util {
 void
 BitWriter::writeByte(uint8_t b)
 {
-    NXSIM_EXPECT(aligned(), "requires byte alignment");
-    bytes_.push_back(b);
+    writeBytes(std::span<const uint8_t>(&b, 1));
 }
 
 void
 BitWriter::writeBytes(std::span<const uint8_t> data)
 {
     NXSIM_EXPECT(aligned(), "requires byte alignment");
+    alignToByte();    // moves the accumulator's whole bytes out first
     bytes_.insert(bytes_.end(), data.begin(), data.end());
 }
 
 void
 BitWriter::writeU16le(uint16_t v)
 {
-    NXSIM_EXPECT(aligned(), "requires byte alignment");
-    bytes_.push_back(static_cast<uint8_t>(v & 0xff));
-    bytes_.push_back(static_cast<uint8_t>(v >> 8));
+    const uint8_t le[2] = {static_cast<uint8_t>(v & 0xff),
+                           static_cast<uint8_t>(v >> 8)};
+    writeBytes(le);
 }
 
 void
 BitWriter::writeU32le(uint32_t v)
 {
-    NXSIM_EXPECT(aligned(), "requires byte alignment");
+    uint8_t le[4] = {};
     for (int i = 0; i < 4; ++i)
-        bytes_.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
+        le[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xff);
+    writeBytes(le);
 }
 
 std::vector<uint8_t>

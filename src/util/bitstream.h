@@ -24,9 +24,11 @@ namespace util {
  * Accumulates bits LSB-first into a growing byte buffer.
  *
  * All write methods take the value in "natural" (LSB-first) order; Huffman
- * codes must be pre-reversed by the encoder (see reverseBits()).
+ * codes must be pre-reversed by the encoder (see reverseBits()). Bits
+ * collect in a 64-bit accumulator that moves 32 of them to the buffer at
+ * a time, so fewer than 32 bits are ever pending.
  */
-// nxstate: protocol(BitWriter: {writeBits|alignToByte|writeByte|writeBytes|writeU16le|writeU32le|drain}* -> take)
+// nxstate: protocol(BitWriter: {writeBits|append|reserveBits|alignToByte|writeByte|writeBytes|writeU16le|writeU32le|drain}* -> take)
 class BitWriter
 {
   public:
@@ -38,21 +40,38 @@ class BitWriter
     {
         bitBuf_ |= static_cast<uint64_t>(value & mask(nbits)) << bitCount_;
         bitCount_ += nbits;
-        while (bitCount_ >= 8) {
-            bytes_.push_back(static_cast<uint8_t>(bitBuf_ & 0xff));
-            bitBuf_ >>= 8;
-            bitCount_ -= 8;
+        if (bitCount_ >= 32) {
+            for (int i = 0; i < 4; ++i)
+                bytes_.push_back(static_cast<uint8_t>(bitBuf_ >> (8 * i)));
+            bitBuf_ >>= 32;
+            bitCount_ -= 32;
         }
     }
 
-    /** Pad with zero bits to the next byte boundary. */
+    /** Append every bit @p other holds, as if written here. */
+    void
+    append(const BitWriter &other)
+    {
+        for (uint8_t b : other.bytes_)
+            writeBits(b, 8);
+        writeBits(static_cast<uint32_t>(other.bitBuf_), other.bitCount_);
+    }
+
+    /** Make room for @p nbits more bits, so writing them never reallocates. */
+    void
+    reserveBits(uint64_t nbits)
+    {
+        bytes_.reserve(bytes_.size() + (bitCount_ + nbits + 7) / 8);
+    }
+
+    /** Move the pending bits out, zero-padding the last partial byte. */
     void
     alignToByte()
     {
-        if (bitCount_ > 0) {
+        while (bitCount_ > 0) {
             bytes_.push_back(static_cast<uint8_t>(bitBuf_ & 0xff));
-            bitBuf_ = 0;
-            bitCount_ = 0;
+            bitBuf_ >>= 8;
+            bitCount_ = bitCount_ > 8 ? bitCount_ - 8 : 0;
         }
     }
 
@@ -72,7 +91,7 @@ class BitWriter
     uint64_t bitsWritten() const { return bytes_.size() * 8 + bitCount_; }
 
     /** True when the cursor sits on a byte boundary. */
-    bool aligned() const { return bitCount_ == 0; }
+    bool aligned() const { return bitCount_ % 8 == 0; }
 
     /** Finish the stream (zero-pad) and move the bytes out. */
     std::vector<uint8_t> take();
@@ -85,11 +104,12 @@ class BitWriter
     std::vector<uint8_t>
     drain()
     {
+        for (; bitCount_ >= 8; bitCount_ -= 8) {
+            bytes_.push_back(static_cast<uint8_t>(bitBuf_ & 0xff));
+            bitBuf_ >>= 8;
+        }
         return std::exchange(bytes_, {});
     }
-
-    /** Access bytes flushed so far without finishing the stream. */
-    const std::vector<uint8_t> &bytes() const { return bytes_; }
 
   private:
     static uint32_t
@@ -212,12 +232,13 @@ class BitReader
 inline uint32_t
 reverseBits(uint32_t v, unsigned nbits)
 {
-    uint32_t r = 0;
-    for (unsigned i = 0; i < nbits; ++i) {
-        r = (r << 1) | (v & 1);
-        v >>= 1;
-    }
-    return r;
+    // Reverse all 32 bits by swapping ever wider groups, then shift the
+    // low nbits, now on top, back down.
+    v = ((v >> 1) & 0x55555555u) | ((v & 0x55555555u) << 1);
+    v = ((v >> 2) & 0x33333333u) | ((v & 0x33333333u) << 2);
+    v = ((v >> 4) & 0x0f0f0f0fu) | ((v & 0x0f0f0f0fu) << 4);
+    v = (v >> 24) | ((v >> 8) & 0xff00u) | ((v << 8) & 0xff0000u) | (v << 24);
+    return nbits == 0 ? 0 : v >> (32 - nbits);
 }
 
 } // namespace util

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "util/bitstream.h"
+#include "util/prng.h"
 
 using util::BitReader;
 using util::BitWriter;
@@ -142,4 +143,56 @@ TEST(ReverseBits, Involution)
 {
     for (uint32_t v = 0; v < 256; ++v)
         EXPECT_EQ(reverseBits(reverseBits(v, 9), 9), v);
+}
+
+TEST(ReverseBits, MatchesBitLoop)
+{
+    util::Xoshiro256 rng(31);
+    for (unsigned nbits = 0; nbits <= 32; ++nbits) {
+        for (int trial = 0; trial < 64; ++trial) {
+            auto v = static_cast<uint32_t>(rng.next());
+            uint32_t want = 0;
+            for (unsigned i = 0; i < nbits; ++i)
+                want |= ((v >> i) & 1u) << (nbits - 1 - i);
+            ASSERT_EQ(reverseBits(v, nbits), want) << nbits << " bits";
+        }
+    }
+}
+
+TEST(BitWriter, DrainMovesEveryWholeByte)
+{
+    // 40 bits: the accumulator has moved 32 of them out and holds 8;
+    // drain must hand over all five bytes and keep bit continuity.
+    BitWriter bw;
+    bw.writeBits(0x12345678, 32);
+    bw.writeBits(0x9a, 8);
+    bw.writeBits(0x5, 3);
+    auto first = bw.drain();
+    EXPECT_EQ(first, (std::vector<uint8_t>{0x78, 0x56, 0x34, 0x12, 0x9a}));
+    EXPECT_EQ(bw.bitsWritten(), 3u);
+    EXPECT_FALSE(bw.aligned());
+    bw.writeBits(0x1f, 5);
+    EXPECT_TRUE(bw.aligned());
+    EXPECT_EQ(bw.take(), std::vector<uint8_t>{0xfd});
+}
+
+TEST(BitWriter, AppendMatchesWritingInPlace)
+{
+    util::Xoshiro256 rng(32);
+    for (int trial = 0; trial < 200; ++trial) {
+        BitWriter whole;
+        BitWriter head;
+        BitWriter tail;
+        int fields = static_cast<int>(rng.below(40));
+        int split = static_cast<int>(rng.below(40));
+        for (int i = 0; i < fields; ++i) {
+            auto n = static_cast<unsigned>(rng.below(33));
+            auto v = static_cast<uint32_t>(rng.next());
+            whole.writeBits(v, n);
+            (i < split ? head : tail).writeBits(v, n);
+        }
+        head.append(tail);
+        ASSERT_EQ(head.bitsWritten(), whole.bitsWritten());
+        ASSERT_EQ(head.take(), whole.take()) << "trial " << trial;
+    }
 }

@@ -184,6 +184,24 @@ TEST(Zlib, HeaderCheckBitsValid)
     }
 }
 
+TEST(Zlib, HeaderFlevelFollowsZlib)
+{
+    // zlib's deflate.c: FLEVEL 0 below level 2, 1 up to level 5, 2 at
+    // level 6 and 3 above, so level 1 writes 78 01 and level 9 78 DA.
+    const uint8_t expected[10] = {0x01, 0x01, 0x5e, 0x5e, 0x5e,
+                                  0x5e, 0x9c, 0xda, 0xda, 0xda};
+    auto data = sampleData(10, 12);
+    for (int level = 0; level <= 9; ++level) {
+        auto stream = zlibWrap(deflateCompress(data).bytes, data, level);
+        EXPECT_EQ(stream[0], 0x78) << "level " << level;
+        EXPECT_EQ(stream[1], expected[level]) << "level " << level;
+        // The preset-dictionary header carries the same FLEVEL.
+        auto dict = deflate::zlibWrapWithDict(
+            deflateCompress(data).bytes, data, data, level);
+        EXPECT_EQ(dict[1] >> 6, expected[level] >> 6) << "level " << level;
+    }
+}
+
 TEST(Zlib, AdlerMismatchDetected)
 {
     auto data = sampleData(1000, 10);

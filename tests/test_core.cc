@@ -111,6 +111,23 @@ TEST(SoftwareCodec, RoundTripAndTiming)
     EXPECT_EQ(d.data, input);
 }
 
+TEST(SoftwareCodec, ZlibHeaderCarriesItsLevel)
+{
+    auto input = workloads::makeText(3000, 78);
+    for (auto [level, flg] : {std::pair{1, 0x01}, std::pair{5, 0x5e},
+                              std::pair{6, 0x9c}, std::pair{9, 0xda}}) {
+        SoftwareCodec sw(level);
+        auto c = sw.compress(input, nx::Framing::Zlib);
+        ASSERT_TRUE(c.ok());
+        ASSERT_GE(c.data.size(), 2u);
+        EXPECT_EQ(c.data[0], 0x78) << "level " << level;
+        EXPECT_EQ(c.data[1], flg) << "level " << level;
+        auto d = sw.decompress(c.data, nx::Framing::Zlib);
+        ASSERT_TRUE(d.ok());
+        EXPECT_EQ(d.data, input);
+    }
+}
+
 TEST(SoftwareCodec, BadStreamReported)
 {
     SoftwareCodec sw(6);

@@ -15,6 +15,7 @@
 #include "deflate/huffman.h"
 #include "deflate/inflate_decoder.h"
 #include "deflate/inflate_stream.h"
+#include "reference_huffman.h"
 #include "util/prng.h"
 
 using deflate::buildCodeLengths;
@@ -115,6 +116,106 @@ TEST(BuildCodeLengths, FrequentSymbolsGetShorterCodes)
     auto lengths = buildCodeLengths(freqs, 15);
     for (size_t i = 1; i < freqs.size(); ++i)
         EXPECT_LE(lengths[0], lengths[i]);
+}
+
+namespace {
+
+/**
+ * Frequency vector of @p kind over @p n symbols: the shapes where a
+ * tree builder's tie-breaking and overflow repair matter.
+ */
+std::vector<uint64_t>
+shapedFreqs(int kind, size_t n, util::Xoshiro256 &rng)
+{
+    std::vector<uint64_t> f(n, 0);
+    switch (kind) {
+      case 0:    // mostly ties: a handful of small counts, many zeros
+        for (auto &x : f)
+            x = rng.below(4);
+        break;
+      case 1:    // every count equal
+        std::fill(f.begin(), f.end(), 1 + rng.below(1000));
+        break;
+      case 2:    // powers of two, some symbols unused
+        for (auto &x : f)
+            x = rng.chance(0.2) ? 0 : uint64_t{1} << rng.below(40);
+        break;
+      case 3:    // the sampled-DHT floor f * 16 + 1 over a skewed sample
+        for (int i = 0; i < 400; ++i)
+            ++f[rng.below(rng.below(n) + 1)];
+        for (auto &x : f)
+            x = x * 16 + 1;
+        break;
+      case 4:    // one or two symbols
+        f[rng.below(n)] = 1 + rng.below(100);
+        if (rng.chance(0.5))
+            f[rng.below(n)] += 1 + rng.below(100);
+        break;
+      case 5: {    // Fibonacci skew: the tree is far deeper than 15 bits
+        uint64_t a = 1 + rng.below(3), b = a + rng.below(3);
+        for (size_t i = 0; i < std::min<size_t>(n, 80); ++i) {
+            f[(i * 7) % n] = a;
+            uint64_t t = a + b;
+            a = b;
+            b = t;
+        }
+        break;
+      }
+      default:    // typical: uniform counts with a few zeros
+        for (auto &x : f)
+            x = rng.chance(0.1) ? 0 : rng.below(5000);
+        break;
+    }
+    return f;
+}
+
+} // namespace
+
+TEST(BuildCodeLengths, MatchesHeapReference)
+{
+    // 1,050 seeded vectors: 50 of each of the 7 shapes per alphabet.
+    struct Alphabet
+    {
+        size_t symbols;
+        int maxBits;
+    };
+    for (Alphabet a : {Alphabet{286, 15}, Alphabet{30, 15}, Alphabet{19, 7}}) {
+        util::Xoshiro256 rng(1700 + a.symbols);
+        int overflowing = 0;
+        for (int kind = 0; kind <= 6; ++kind) {
+            for (int trial = 0; trial < 50; ++trial) {
+                auto freqs = shapedFreqs(kind, a.symbols, rng);
+                auto unlimited = reference::buildCodeLengths(freqs, 255);
+                if (std::any_of(unlimited.begin(), unlimited.end(),
+                                [&](uint8_t l) { return l > a.maxBits; }))
+                    ++overflowing;
+                ASSERT_EQ(buildCodeLengths(freqs, a.maxBits),
+                          reference::buildCodeLengths(freqs, a.maxBits))
+                    << a.symbols << " symbols, kind " << kind << ", trial "
+                    << trial;
+            }
+        }
+        // The length-limit repair ran, not only the plain tree build.
+        EXPECT_GT(overflowing, 0) << a.symbols << " symbols";
+    }
+}
+
+TEST(DistCode, MatchesBaseTable)
+{
+    for (int dist = 1; dist <= deflate::kWindowSize; ++dist) {
+        auto c = static_cast<size_t>(deflate::distToCode(dist));
+        ASSERT_LT(c, deflate::kDistBase.size()) << dist;
+        EXPECT_LE(deflate::kDistBase[c], dist);
+        ASSERT_LT(dist, deflate::kDistBase[c] + (1 << deflate::kDistExtra[c]))
+            << dist;
+    }
+}
+
+TEST(DistCodeDeathTest, DistanceOutsideTheWindowIsAContractViolation)
+{
+    EXPECT_DEATH(deflate::distToCode(0), "distance outside the window");
+    EXPECT_DEATH(deflate::distToCode(deflate::kWindowSize + 1),
+                 "distance outside the window");
 }
 
 TEST(HuffmanCode, FixedLitLenMatchesRfc)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -51,6 +52,41 @@ repetitiveText(size_t n, uint64_t seed)
     }
     v.resize(n);
     return v;
+}
+
+/**
+ * @p n bytes in which no 3-byte string occurs twice: each byte is drawn
+ * at random and bumped until the string it ends is new.
+ */
+std::vector<uint8_t>
+uniqueTrigrams(size_t n, uint64_t seed)
+{
+    util::Xoshiro256 rng(seed);
+    std::vector<bool> seen(size_t{1} << 24);
+    std::vector<uint8_t> v;
+    while (v.size() < n) {
+        auto b = static_cast<uint8_t>(rng.next());
+        if (v.size() >= 2) {
+            size_t key = (size_t{v[v.size() - 2]} << 16) |
+                (size_t{v.back()} << 8);
+            while (seen[key | b])
+                ++b;
+            seen[key | b] = true;
+        }
+        v.push_back(b);
+    }
+    return v;
+}
+
+/** Tokens equal field by field. */
+bool
+sameTokens(const std::vector<Token> &a, const std::vector<Token> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const Token &x, const Token &y) {
+                          return x.length == y.length && x.dist == y.dist &&
+                              x.literal == y.literal;
+                      });
 }
 
 } // namespace
@@ -280,4 +316,72 @@ TEST(Lz77, ChainStepsGrowWithLevel)
     best.tokenize(input);
     uint64_t bestSteps = best.chainSteps();
     EXPECT_GT(bestSteps, fastSteps);
+}
+
+TEST(Lz77, MatchLengthAtWordBoundaries)
+{
+    // A repeat of every length 3..258 at each distance, after filler in
+    // which no 3-byte string recurs and ending 0-7 bytes before the end
+    // of the input: the match extension must stop on exactly the last
+    // equal byte, whichever 8-byte step it falls in. 32,767 is the
+    // farthest distance the matcher reaches (pos - cand < kWindowSize).
+    constexpr size_t kLead = 8;
+    const auto filler = uniqueTrigrams(32767 + kLead, 21);
+    for (int level : {1, 6, 9}) {
+        Lz77Matcher m(levelParams(level));
+        for (int d : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 4096, 32767}) {
+            auto dist = static_cast<size_t>(d);
+            for (size_t len = deflate::kMinMatch; len <= deflate::kMaxMatch;
+                 ++len) {
+                std::vector<uint8_t> in(filler.begin(),
+                                        filler.begin() +
+                                            static_cast<long>(dist + kLead));
+                const size_t at = in.size();
+                for (size_t i = 0; i < len; ++i)
+                    in.push_back(in[in.size() - dist]);
+                // The first byte after the repeat ends it.
+                size_t tail = len % 8;
+                for (size_t i = 0; i < tail; ++i)
+                    in.push_back(static_cast<uint8_t>(~in[in.size() - dist]));
+
+                auto tokens = m.tokenize(in);
+                ASSERT_TRUE(tokensReproduce(tokens, in));
+                size_t pos = 0;
+                auto t = tokens.begin();
+                for (; t != tokens.end() && pos < at; ++t)
+                    pos += t->isLiteral() ? size_t{1} : size_t{t->length};
+                ASSERT_EQ(pos, at) << "a token crosses the repeat's start";
+                ASSERT_NE(t, tokens.end());
+                ASSERT_EQ(t->length, len) << "level " << level << ", dist "
+                                          << dist << ", tail " << tail;
+                ASSERT_EQ(t->dist, dist);
+            }
+        }
+    }
+}
+
+TEST(Lz77, ReusedMatcherMatchesFreshOne)
+{
+    // The hash chains are never cleared between calls, so a second call
+    // on one matcher must not read a chain link the first call left.
+    auto big = repetitiveText(100 * 1024, 11);
+    auto small = repetitiveText(4 * 1024, 12);
+    for (int level : {1, 4, 6, 9}) {
+        Lz77Matcher reused(levelParams(level));
+        reused.tokenize(big);
+        auto again = reused.tokenize(small);
+        Lz77Matcher fresh(levelParams(level));
+        auto once = fresh.tokenize(small);
+        EXPECT_TRUE(sameTokens(again, once)) << "level " << level;
+        EXPECT_EQ(reused.chainSteps(), fresh.chainSteps()) << "level "
+                                                           << level;
+    }
+}
+
+TEST(Lz77DeathTest, StartPastTheInputIsAContractViolation)
+{
+    std::vector<uint8_t> input(16, 'a');
+    Lz77Matcher m(levelParams(6));
+    EXPECT_DEATH(m.tokenize(input, input.size() + 1),
+                 "history longer than the input");
 }
