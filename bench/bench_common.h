@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/device.h"
-#include "core/nxzip.h"
 #include "core/topology.h"
 #include "deflate/host_cal.h"
 #include "util/checked.h"

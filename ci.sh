@@ -21,9 +21,10 @@
 #   8. tsan            ThreadSanitizer build; runs the `concurrency`
 #                      and `load` ctest labels (JobServer dispatch,
 #                      multi-session stress, load-generator suites)
-#   9. coverage        gcov build; runs the `session`, `load` and
-#                      `codec` ctest labels and gates the line coverage
-#                      of src/core/session.cc,
+#   9. coverage        gcov build; runs the `session`, `load`,
+#                      `codec` and `concurrency` ctest labels and gates
+#                      the line coverage of src/core/session.cc,
+#                      src/core/job_server.cc,
 #                      src/deflate/inflate_stream.cc,
 #                      src/deflate/deflate_stream.cc,
 #                      src/deflate/lz77.cc and src/deflate/huffman.cc
@@ -136,10 +137,11 @@ cmake --preset tsan
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan -L 'concurrency|load' --output-on-failure -j "$jobs"
 
-stage "coverage (session|load|codec labels + gcov gate)" "9/14"
+stage "coverage (session|load|codec|concurrency labels + gcov gate)" "9/14"
 cmake --preset coverage
 cmake --build build-coverage -j "$jobs"
-ctest --test-dir build-coverage -L 'session|load|codec' --output-on-failure -j "$jobs"
+ctest --test-dir build-coverage -L 'session|load|codec|concurrency' \
+    --output-on-failure -j "$jobs"
 tools/coverage_gate.sh build-coverage
 
 stage "clang-tsa (thread-safety annotations)" "10/14"

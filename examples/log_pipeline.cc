@@ -9,7 +9,8 @@
 
 #include <cstdio>
 
-#include "core/nxzip.h"
+#include "core/session.h"
+#include "core/topology.h"
 #include "nx/vas.h"
 #include "util/table.h"
 #include "workloads/corpus.h"
@@ -18,9 +19,9 @@ int
 main()
 {
     // Functional slice: one batch through the API.
-    nxzip::Context ctx(core::power9Chip());
+    nx::Session sess(core::power9Chip().accel);
     auto batch = workloads::makeLog(1 << 20, 31);
-    auto c = ctx.compress(batch);
+    auto c = sess.compress(batch);
     if (!c.ok) {
         std::fprintf(stderr, "compress failed: %s\n", c.error.c_str());
         return 1;

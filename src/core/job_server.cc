@@ -87,7 +87,13 @@ JobServer::~JobServer()
 }
 
 SubmitResult
-JobServer::submitAsync(const JobSpec &spec, int window)
+JobServer::submitAsync(JobSpec spec, int window)
+{
+    return paste(spec, window);
+}
+
+SubmitResult
+JobServer::paste(JobSpec &spec, int window)
 {
     SubmitResult out;
     {
@@ -111,8 +117,9 @@ JobServer::submitAsync(const JobSpec &spec, int window)
         p.ticket = nextTicket_++;
         p.window = window;
         p.windowSeq = windowPastes_[w]++;
-        p.spec = spec;    // payload copied only on acceptance
+        p.spec = std::move(spec);    // accepted: the payload moves in
         p.pasteTime = Clock::now();
+        slots_.emplace(p.ticket, Slot{});
         fifo_[w].push_back(std::move(p));
         ++queuedTotal_;
         ++accepted_;
@@ -126,14 +133,14 @@ JobServer::submitAsync(const JobSpec &spec, int window)
 }
 
 SubmitResult
-JobServer::submitWithRetry(const JobSpec &spec, int window,
+JobServer::submitWithRetry(JobSpec spec, int window,
                            const BackoffPolicy &policy)
 {
     NXSIM_EXPECT(policy.maxAttempts > 0, "retry policy needs >= 1 attempt");
     auto delay = policy.initialDelay;
     SubmitResult res;
     for (int attempt = 1; attempt <= policy.maxAttempts; ++attempt) {
-        res = submitAsync(spec, window);
+        res = paste(spec, window);
         res.attempts = attempt;
         if (res.status != nx::PasteStatus::Busy)
             return res;
@@ -209,10 +216,10 @@ JobServer::workerLoop(int w)
                                    crbSeq);
         }
 
-        double waited = secondsSince(p.pasteTime);
-        waitLatency_.record(waited);
+        waitLatency_.record(secondsSince(p.pasteTime));
         serviceCycles_.record(static_cast<double>(r.engineCycles));
 
+        bool idle = false;
         {
             nx::MutexLock lk(mu_);
             workerCycles_[wi] += r.engineCycles;
@@ -225,29 +232,34 @@ JobServer::workerLoop(int w)
             if (injected)
                 ++faultsInjected_;
 
-            AsyncJob done;
-            done.ticket = p.ticket;
-            done.window = p.window;
-            done.windowSeq = p.windowSeq;
-            done.dispatchSeq = dispatch;
-            done.worker = w;
-            done.waitSeconds = waited;
-            done.result = std::move(r);
-            done_.emplace(p.ticket, std::move(done));
+            auto it = slots_.find(p.ticket);
+            NXSIM_ASSERT(it != slots_.end(), "completion without a slot");
+            Slot &slot = it->second;
+            slot.job.ticket = p.ticket;
+            slot.job.window = p.window;
+            slot.job.windowSeq = p.windowSeq;
+            slot.job.dispatchSeq = dispatch;
+            slot.job.result = std::move(r);
+            slot.done = true;
+            // Under mu_: the condition variable lives on the waiter's
+            // stack and is gone once it has claimed the slot.
+            if (slot.waiter != nullptr)
+                slot.waiter->notifyOne();
+            idle = completed_ == accepted_;
         }
-        doneCv_.notifyAll();
+        if (idle)
+            idleCv_.notifyAll();
     }
 }
 
-AsyncJob
-JobServer::claimLocked(Ticket t)
+JobServer::Slot &
+JobServer::claimableLocked(Ticket t)
 {
-    auto it = done_.find(t);
-    NXSIM_ASSERT(it != done_.end(), "claim of a ticket not completed");
-    AsyncJob out = std::move(it->second);
-    done_.erase(it);
-    claimed_.insert(t);
-    return out;
+    auto it = slots_.find(t);
+    NXSIM_EXPECT(it != slots_.end(), "ticket already claimed");
+    NXSIM_EXPECT(it->second.waiter == nullptr && drainers_ == 0,
+                 "ticket already being waited on");
+    return it->second;
 }
 
 bool
@@ -255,12 +267,12 @@ JobServer::poll(Ticket t, AsyncJob *out)
 {
     nx::MutexLock lk(mu_);
     NXSIM_EXPECT(t != 0 && t < nextTicket_, "poll of an unknown ticket");
-    NXSIM_EXPECT(claimed_.count(t) == 0, "ticket already claimed");
-    if (done_.count(t) == 0)
+    Slot &slot = claimableLocked(t);
+    if (!slot.done)
         return false;
-    AsyncJob job = claimLocked(t);
     if (out != nullptr)
-        *out = std::move(job);
+        *out = std::move(slot.job);
+    slots_.erase(t);
     return true;
 }
 
@@ -269,25 +281,32 @@ JobServer::wait(Ticket t)
 {
     nx::MutexLock lk(mu_);
     NXSIM_EXPECT(t != 0 && t < nextTicket_, "wait on an unknown ticket");
-    NXSIM_EXPECT(claimed_.count(t) == 0, "ticket already claimed");
-    while (done_.count(t) == 0)
-        doneCv_.wait(mu_);
-    return claimLocked(t);
+    Slot &slot = claimableLocked(t);
+    nx::CondVar completed;
+    slot.waiter = &completed;
+    while (!slot.done)
+        completed.wait(mu_);
+    AsyncJob out = std::move(slot.job);
+    slots_.erase(t);
+    return out;
 }
 
 std::vector<AsyncJob>
 JobServer::drain()
 {
     nx::MutexLock lk(mu_);
+    for (const auto &kv : slots_)
+        NXSIM_EXPECT(kv.second.waiter == nullptr,
+                     "ticket already being waited on");
+    ++drainers_;
     while (completed_ != accepted_)
-        doneCv_.wait(mu_);
+        idleCv_.wait(mu_);
+    --drainers_;
     std::vector<AsyncJob> out;
-    out.reserve(done_.size());
-    for (auto &kv : done_) {
-        claimed_.insert(kv.first);
-        out.push_back(std::move(kv.second));
-    }
-    done_.clear();
+    out.reserve(slots_.size());
+    for (auto &kv : slots_)
+        out.push_back(std::move(kv.second.job));
+    slots_.clear();
     return out;    // std::map iteration order: sorted by ticket
 }
 
@@ -302,7 +321,7 @@ JobServer::drainAndStop()
             workCv_.notifyAll();
         }
         while (completed_ != accepted_)
-            doneCv_.wait(mu_);
+            idleCv_.wait(mu_);
         stopping_ = true;
         if (joined_)
             return;
@@ -338,6 +357,7 @@ JobServer::stats() const
         s.faultsInjected = faultsInjected_;
         s.bytesIn = bytesIn_;
         s.bytesOut = bytesOut_;
+        s.unclaimed = slots_.size();
         for (sim::Tick c : workerCycles_) {
             s.engineCyclesSum += c;
             s.engineCyclesMax = std::max(s.engineCyclesMax, c);

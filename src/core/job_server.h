@@ -39,7 +39,9 @@
  * Thread-safety: every public method may be called from any thread.
  * Shutdown (drainAndStop or destruction) completes every accepted job
  * — a saturated server drains cleanly with no lost or double-completed
- * tickets.
+ * tickets. Each ticket has one claimant: a wait, poll or drain that
+ * would claim a ticket another thread is already waiting on is a
+ * contract violation, not a second sleeper that never wakes.
  *
  * The lock discipline is stated in the types (util/thread_annotations.h)
  * and machine-checked by the `clang-tsa` preset: everything mu_
@@ -57,7 +59,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -125,8 +126,6 @@ struct AsyncJob
     int window = 0;
     uint64_t windowSeq = 0;     ///< paste order within the window
     uint64_t dispatchSeq = 0;   ///< global engine-pop order
-    int worker = -1;            ///< engine that executed the job
-    double waitSeconds = 0.0;   ///< wall paste-to-completion time
     JobResult result;
 };
 
@@ -188,6 +187,7 @@ struct JobServerStats
     uint64_t faultsInjected = 0;
     uint64_t bytesIn = 0;
     uint64_t bytesOut = 0;
+    uint64_t unclaimed = 0;       ///< tickets issued, not yet claimed
     sim::Tick engineCyclesSum = 0;   ///< total modelled engine occupancy
     sim::Tick engineCyclesMax = 0;   ///< busiest worker (parallel makespan)
     double meanQueueDepth = 0.0;     ///< sampled at each accepted paste
@@ -224,19 +224,20 @@ class JobServer
     /**
      * Paste one job into @p window. Non-blocking: returns Busy when
      * the window FIFO is at capacity and Closed once draining began.
-     * The payload is copied only on acceptance.
+     * An accepted spec is moved into the FIFO, so pass an rvalue to
+     * hand the payload over without a copy.
      */
-    [[nodiscard]] SubmitResult submitAsync(const JobSpec &spec,
-                                           int window = 0)
+    [[nodiscard]] SubmitResult submitAsync(JobSpec spec, int window = 0)
         NXSIM_EXCLUDES(mu_) NXSIM_ACQUIRES(job_ticket);
 
     /**
      * Paste with the paper's RC-busy loop: on Busy, back off
      * (exponential, capped at policy.maxDelay) and re-paste, up to
-     * policy.maxAttempts total attempts.
+     * policy.maxAttempts total attempts. A rejected attempt leaves the
+     * spec with the loop; only the accepted one moves it.
      */
     [[nodiscard]] SubmitResult submitWithRetry(
-        const JobSpec &spec, int window = 0,
+        JobSpec spec, int window = 0,
         const BackoffPolicy &policy = {}) NXSIM_EXCLUDES(mu_)
         NXSIM_ACQUIRES(job_ticket);
 
@@ -248,13 +249,14 @@ class JobServer
     [[nodiscard]] bool poll(Ticket t, AsyncJob *out = nullptr)
         NXSIM_EXCLUDES(mu_);
 
-    /** Block until @p t completes and claim its record. */
+    /** Block until @p t completes and claim it; wakes only this thread. */
     [[nodiscard]] AsyncJob wait(Ticket t) NXSIM_EXCLUDES(mu_)
         NXSIM_RELEASES(job_ticket);
 
     /**
      * Batch drain: block until every accepted job has completed, then
-     * claim all still-unclaimed records, sorted by ticket.
+     * claim all still-unclaimed records, sorted by ticket. No wait()
+     * or poll() may overlap it.
      */
     std::vector<AsyncJob> drain() NXSIM_EXCLUDES(mu_)
         NXSIM_RELEASES(job_ticket);
@@ -287,8 +289,20 @@ class JobServer
         std::chrono::steady_clock::time_point pasteTime;
     };
 
+    /** One issued ticket: created at paste, erased at claim. */
+    struct Slot
+    {
+        bool done = false;
+        AsyncJob job;                    ///< valid once done
+        nx::CondVar *waiter = nullptr;   ///< the wait() blocked on it
+    };
+
+    /** One paste attempt; moves @p spec into the FIFO iff accepted. */
+    [[nodiscard]] SubmitResult paste(JobSpec &spec, int window)
+        NXSIM_EXCLUDES(mu_);
     void workerLoop(int w) NXSIM_EXCLUDES(mu_);
-    [[nodiscard]] AsyncJob claimLocked(Ticket t) NXSIM_REQUIRES(mu_);
+    /** The slot of issued ticket @p t; it must be unclaimed and unwaited. */
+    [[nodiscard]] Slot &claimableLocked(Ticket t) NXSIM_REQUIRES(mu_);
 
     // Immutable after construction (workers are spawned last, so every
     // thread observes the finished setup): safe to read without mu_.
@@ -305,15 +319,16 @@ class JobServer
 
     mutable nx::Mutex mu_;
     nx::CondVar workCv_;   ///< work arrived / stop
-    nx::CondVar doneCv_;   ///< a job completed
+    nx::CondVar idleCv_;   ///< completed_ caught up with accepted_
 
     std::vector<std::deque<Pending>> fifo_
         NXSIM_GUARDED_BY(mu_);                  ///< per-window FIFOs
     std::vector<uint64_t> windowPastes_
         NXSIM_GUARDED_BY(mu_);                  ///< paste seq per window
-    std::map<Ticket, AsyncJob> done_
-        NXSIM_GUARDED_BY(mu_);                  ///< unclaimed completions
-    std::set<Ticket> claimed_ NXSIM_GUARDED_BY(mu_);
+    /// Issued, unclaimed tickets. Tickets are monotonic, so one below
+    /// nextTicket_ without a slot has been claimed.
+    std::map<Ticket, Slot> slots_ NXSIM_GUARDED_BY(mu_);
+    int drainers_ NXSIM_GUARDED_BY(mu_) = 0;    ///< drain() calls asleep
 
     Ticket nextTicket_ NXSIM_GUARDED_BY(mu_) = 1;
     uint64_t dispatchSeq_ NXSIM_GUARDED_BY(mu_) = 0;

@@ -164,20 +164,19 @@ Session::DeviceOutcome
 Session::deviceLeg(core::JobKind kind, std::span<const uint8_t> staged,
                    SessionResult *out)
 {
-    core::JobSpec spec;
-    spec.kind = kind;
-    spec.codec = pol_.format == SessionFormat::E842
-        ? core::Codec::E842 : core::Codec::Deflate;
-    spec.framing = framingOf(pol_.format);
-    spec.mode = pol_.mode;
-    spec.maxOutput = pol_.maxOutputBytes;
-    // The modelled DMA: the engine pulls the staged bytes out of the
-    // pinned buffer into its own job copy.
-    spec.payload.assign(staged.begin(), staged.end());
-
     NXSIM_EXPECT(pol_.faultRetries >= 0, "negative fault-retry budget");
     for (int attempt = 0; attempt <= pol_.faultRetries; ++attempt) {
-        auto sub = server_->submitWithRetry(spec, pol_.window,
+        // The job's own copy of the staged bytes, moved into the FIFO
+        // on acceptance; a fault resubmission copies the lease again.
+        core::JobSpec spec;
+        spec.kind = kind;
+        spec.codec = pol_.format == SessionFormat::E842
+            ? core::Codec::E842 : core::Codec::Deflate;
+        spec.framing = framingOf(pol_.format);
+        spec.mode = pol_.mode;
+        spec.maxOutput = pol_.maxOutputBytes;
+        spec.payload.assign(staged.begin(), staged.end());
+        auto sub = server_->submitWithRetry(std::move(spec), pol_.window,
                                             pol_.backoff);
         if (sub.status == PasteStatus::Busy)
             return DeviceOutcome::BusyExhausted;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "nx/memory_image.h"
-
 #include "deflate/gzip_stream.h"
 #include "deflate/zlib_stream.h"
 #include "util/bitstream.h"
@@ -129,38 +127,6 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
     stats_.inc("source_bytes", source.size());
     stats_.inc("output_bytes", job.output.size());
     stats_.inc("cycles", job.timing.total());
-    return job;
-}
-
-CompressJobResult
-CompressEngine::runDma(const Crb &crb, MemoryImage &mem,
-                       DhtMode dht_mode, uint64_t dht_sample_bytes)
-{
-    // Gather the source, skipping the resume offset.
-    auto all = mem.gather(crb.source);
-    std::span<const uint8_t> source(all);
-    if (crb.sourceOffset <= all.size())
-        source = source.subspan(crb.sourceOffset);
-
-    CompressJobResult job = run(crb, source, dht_mode,
-                                dht_sample_bytes);
-
-    // Per-DDE-entry DMA setup beyond the first of each list.
-    constexpr sim::Tick kSgSetup = 64;
-    auto extra = [&](const DdeList &l) {
-        return l.entries.size() > 1
-            ? kSgSetup * (l.entries.size() - 1) : 0;
-    };
-    job.timing.dmaIn += extra(crb.source);
-    job.timing.dmaOut += extra(crb.target);
-
-    if (job.csb.cc == CondCode::Success) {
-        bool fit = mem.scatter(crb.target, job.output);
-        if (!fit) {
-            job.csb.cc = CondCode::OutputOverflow;
-            job.output.clear();
-        }
-    }
     return job;
 }
 

@@ -92,17 +92,6 @@ class CompressEngine
                           DhtMode dht_mode = DhtMode::Sampled,
                           uint64_t dht_sample_bytes = 0);
 
-    /**
-     * Execute a compress CRB against a memory image: the DMA unit
-     * gathers the source from the CRB's (possibly fragmented) source
-     * DDE list — honouring crb.sourceOffset for resubmissions — and
-     * scatters the framed result across the target DDE list. Each
-     * additional DDE entry costs extra DMA setup cycles.
-     */
-    [[nodiscard]] CompressJobResult runDma(const Crb &crb, class MemoryImage &mem,
-                             DhtMode dht_mode = DhtMode::Sampled,
-                             uint64_t dht_sample_bytes = 0);
-
     const NxConfig &config() const { return cfg_; }
     const util::StatSet &stats() const { return stats_; }
 

@@ -1,7 +1,5 @@
 #include "nx/decompress_engine.h"
 
-#include "nx/memory_image.h"
-
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
 #include "deflate/zlib_stream.h"
@@ -103,33 +101,6 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     stats_.inc("source_bytes", source.size());
     stats_.inc("output_bytes", job.output.size());
     stats_.inc("cycles", job.timing.total());
-    return job;
-}
-
-DecompressJobResult
-DecompressEngine::runDma(const Crb &crb, MemoryImage &mem)
-{
-    auto all = mem.gather(crb.source);
-    std::span<const uint8_t> source(all);
-    if (crb.sourceOffset <= all.size())
-        source = source.subspan(crb.sourceOffset);
-
-    DecompressJobResult job = run(crb, source);
-
-    constexpr sim::Tick kSgSetup = 64;
-    auto extra = [&](const DdeList &l) {
-        return l.entries.size() > 1
-            ? kSgSetup * (l.entries.size() - 1) : 0;
-    };
-    job.timing.dmaIn += extra(crb.source);
-    job.timing.dmaOut += extra(crb.target);
-
-    if (job.csb.cc == CondCode::Success) {
-        if (!mem.scatter(crb.target, job.output)) {
-            job.csb.cc = CondCode::OutputOverflow;
-            job.output.clear();
-        }
-    }
     return job;
 }
 

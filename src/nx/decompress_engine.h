@@ -72,9 +72,6 @@ class DecompressEngine
     [[nodiscard]] DecompressJobResult run(const Crb &crb,
                             std::span<const uint8_t> source);
 
-    /** Scatter/gather variant of run(); see CompressEngine::runDma. */
-    [[nodiscard]] DecompressJobResult runDma(const Crb &crb, class MemoryImage &mem);
-
     const NxConfig &config() const { return cfg_; }
     const util::StatSet &stats() const { return stats_; }
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Public API tests: NxDevice, SoftwareCodec, nxzip::Context (mode
- * selection, fallback policy), and topology presets.
+ * Public API tests: NxDevice, SoftwareCodec, the one-call nx::Session
+ * path the nxzip CLI takes (routing by size, cross-path interop), and
+ * topology presets.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/device.h"
-#include "core/nxzip.h"
+#include "core/session.h"
 #include "core/topology.h"
 #include "workloads/corpus.h"
 
@@ -136,28 +137,31 @@ TEST(SoftwareCodec, BadStreamReported)
     EXPECT_FALSE(d.ok());
 }
 
+// The Nxzip suite drives what the nxzip CLI runs for one file: a
+// Session with the default policy on one chip.
+
 TEST(Nxzip, ContextRoundTrip)
 {
-    nxzip::Context ctx(core::power9Chip());
+    nx::Session sess(core::power9Chip().accel);
     auto input = workloads::makeMixed(500000, 77);
-    auto c = ctx.compress(input);
+    auto c = sess.compress(input);
     ASSERT_TRUE(c.ok) << c.error;
-    EXPECT_EQ(c.path, nxzip::Path::Accelerator);
+    EXPECT_EQ(c.backend, nx::Backend::Accelerator);
     EXPECT_GT(c.ratio(), 1.0);
 
-    auto d = ctx.decompress(c.data);
+    auto d = sess.decompress(c.data);
     ASSERT_TRUE(d.ok) << d.error;
     EXPECT_EQ(d.data, input);
 }
 
 TEST(Nxzip, SmallRequestsStayOnCore)
 {
-    nxzip::Context ctx(core::power9Chip());
+    nx::Session sess(core::power9Chip().accel);
     auto input = workloads::makeText(512, 78);
-    auto c = ctx.compress(input);
+    auto c = sess.compress(input);
     ASSERT_TRUE(c.ok);
-    EXPECT_EQ(c.path, nxzip::Path::Software);
-    auto d = ctx.decompress(c.data);
+    EXPECT_EQ(c.backend, nx::Backend::Software);
+    auto d = sess.decompress(c.data);
     ASSERT_TRUE(d.ok);
     EXPECT_EQ(d.data, input);
 }
@@ -166,13 +170,13 @@ TEST(Nxzip, CrossPathInterop)
 {
     // Software-compressed streams decompress on the accelerator path
     // and vice versa.
-    nxzip::Options opts;
-    opts.minAccelBytes = 1;    // force accel even for small streams
-    nxzip::Context accel(core::power9Chip(), opts);
+    nx::SessionPolicy pol;
+    pol.accelThresholdBytes = 1;    // force accel even for small streams
+    nx::Session accel(core::power9Chip().accel, pol);
 
-    nxzip::Options swOpts;
-    swOpts.minAccelBytes = UINT64_MAX;    // force software
-    nxzip::Context software(core::power9Chip(), swOpts);
+    nx::SessionPolicy swPol;
+    swPol.forceSoftware = true;    // force software
+    nx::Session software(core::power9Chip().accel, swPol);
 
     auto input = workloads::makeLog(100000, 79);
 
@@ -194,9 +198,9 @@ TEST(Nxzip, AcceleratorMuchFasterThanSoftware)
     // The headline claim, at unit-test scale: modelled accelerator
     // time for a 4 MiB job must be orders of magnitude below measured
     // software time.
-    nxzip::Context ctx(core::power9Chip());
+    nx::Session sess(core::power9Chip().accel);
     auto input = workloads::makeText(4 << 20, 80);
-    auto accel = ctx.compress(input);
+    auto accel = sess.compress(input);
     ASSERT_TRUE(accel.ok);
 
     core::SoftwareCodec sw(6);
@@ -207,11 +211,11 @@ TEST(Nxzip, AcceleratorMuchFasterThanSoftware)
 
 TEST(Nxzip, EmptyInput)
 {
-    nxzip::Context ctx(core::power9Chip());
+    nx::Session sess(core::power9Chip().accel);
     std::vector<uint8_t> empty;
-    auto c = ctx.compress(empty);
+    auto c = sess.compress(empty);
     ASSERT_TRUE(c.ok) << c.error;
-    auto d = ctx.decompress(c.data);
+    auto d = sess.decompress(c.data);
     ASSERT_TRUE(d.ok) << d.error;
     EXPECT_TRUE(d.data.empty());
 }

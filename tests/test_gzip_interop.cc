@@ -16,7 +16,7 @@
 #include <fstream>
 #include <string>
 
-#include "core/nxzip.h"
+#include "core/session.h"
 #include "core/topology.h"
 #include "deflate/gzip_stream.h"
 #include "workloads/corpus.h"
@@ -74,10 +74,10 @@ class GzipInterop : public ::testing::Test
 TEST_F(GzipInterop, SystemGunzipAcceptsAcceleratorOutput)
 {
     auto input = workloads::makeMixed(300000, 71);
-    nxzip::Context ctx(core::power9Chip());
-    auto c = ctx.compress(input);
+    nx::Session sess(core::power9Chip().accel);
+    auto c = sess.compress(input);
     ASSERT_TRUE(c.ok);
-    ASSERT_EQ(c.path, nxzip::Path::Accelerator);
+    ASSERT_EQ(c.backend, nx::Backend::Accelerator);
 
     auto gz = tmpPath("accel.gz");
     auto out = tmpPath("accel.out");
@@ -141,10 +141,10 @@ TEST_F(GzipInterop, WeAcceptSystemGzipOutput)
         EXPECT_EQ(res.inflate.bytes, input);
 
         // Accelerator decompress engine.
-        nxzip::Context ctx(core::power9Chip());
-        auto d = ctx.decompress(stream);
+        nx::Session sess(core::power9Chip().accel);
+        auto d = sess.decompress(stream);
         ASSERT_TRUE(d.ok) << d.error;
-        EXPECT_EQ(d.path, nxzip::Path::Accelerator);
+        EXPECT_EQ(d.backend, nx::Backend::Accelerator);
         EXPECT_EQ(d.data, input);
     }
 }
@@ -194,8 +194,8 @@ TEST_F(GzipInterop, BinaryDataBothDirections)
     auto input = workloads::makeBinary(100000, 75);
 
     // Ours -> gunzip.
-    nxzip::Context ctx(core::z15Chip());
-    auto c = ctx.compress(input);
+    nx::Session sess(core::z15Chip().accel);
+    auto c = sess.compress(input);
     ASSERT_TRUE(c.ok);
     auto gz = tmpPath("bin.gz");
     auto out = tmpPath("bin.out");
@@ -209,7 +209,7 @@ TEST_F(GzipInterop, BinaryDataBothDirections)
     writeFile(raw, input);
     ASSERT_EQ(run("gzip -kf " + raw), 0);
     auto stream = readFile(raw + ".gz");
-    auto d = ctx.decompress(stream);
+    auto d = sess.decompress(stream);
     ASSERT_TRUE(d.ok) << d.error;
     EXPECT_EQ(d.data, input);
 }

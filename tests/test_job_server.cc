@@ -14,6 +14,9 @@
  *     jobs. Determinism comes from startPaused: FIFOs are filled
  *     while the engine pool is gated.
  *   - stats: the thread-safe stats block is consistent with the run.
+ *   - ticket contracts: a ticket has one claimant. Claiming it twice,
+ *     claiming one never issued, or a second thread waiting on it
+ *     while the first still sleeps aborts instead of hanging.
  *
  * gtest assertions run on the main thread only (gtest's macros are
  * not thread-safe); producer threads just record tickets.
@@ -326,6 +329,44 @@ TEST(JobServerBackpressure, RetryGivesUpAfterMaxAttempts)
     EXPECT_EQ(jobs.size(), 1u);    // the rejected job was never enqueued
 }
 
+TEST(JobServerBackpressure, RetriedPasteCarriesItsPayload)
+{
+    // The retry loop keeps the spec across Busy attempts and moves it
+    // only into the accepted paste; a paste that moved it on Busy
+    // would send the engine an empty payload.
+    auto cfg = testChip();
+    JobServerConfig jcfg;
+    jcfg.workers = 1;
+    jcfg.windows = 1;
+    jcfg.window.fifoDepth = 1;
+    jcfg.startPaused = true;
+    JobServer srv(cfg, jcfg);
+    ASSERT_TRUE(
+        srv.submitAsync(compressSpec(workloads::makeText(256, 1)))
+            .accepted());
+
+    // Un-gate the engines only once the retry loop has bounced.
+    std::thread resumer([&srv] {
+        while (srv.stats().busyRejects == 0)
+            std::this_thread::yield();
+        srv.resume();
+    });
+    core::BackoffPolicy policy;
+    policy.maxAttempts = 1000;
+    policy.initialDelay = std::chrono::microseconds(100);
+    auto payload = workloads::makeLog(8 * 1024, 3);
+    auto r = srv.submitWithRetry(compressSpec(payload), 0, policy);
+    resumer.join();
+
+    ASSERT_TRUE(r.accepted());
+    EXPECT_GT(r.attempts, 1);
+    AsyncJob job = srv.wait(r.ticket);
+    ASSERT_TRUE(job.result.ok());
+    auto res = deflate::gzipUnwrap(job.result.data);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.inflate.bytes, payload);
+}
+
 TEST(JobServerBackpressure, SaturatedServerDrainsCleanlyOnShutdown)
 {
     auto cfg = testChip();
@@ -599,6 +640,104 @@ TEST(JobServerStats, BusyRejectsAreAttributedToTheirWindow)
 
     srv.resume();
     srv.drainAndStop();
+}
+
+// ---------------------------------------------------------------------------
+// Ticket contracts. Each death test builds its server inside the
+// statement, so the forked child owns every thread it runs.
+// ---------------------------------------------------------------------------
+
+JobServerConfig
+gatedServer()
+{
+    JobServerConfig jcfg;
+    jcfg.workers = 1;
+    jcfg.windows = 1;
+    jcfg.startPaused = true;
+    return jcfg;
+}
+
+Ticket
+pasteOne(JobServer &srv)
+{
+    return srv.submitAsync(compressSpec(workloads::makeText(256, 5)))
+        .ticket;
+}
+
+TEST(JobServerDeathTest, WaitAfterWaitAborts)
+{
+    EXPECT_DEATH(
+        {
+            JobServer srv(testChip());
+            Ticket t = pasteOne(srv);
+            (void)srv.wait(t);
+            (void)srv.wait(t);
+        },
+        "ticket already claimed");
+}
+
+TEST(JobServerDeathTest, PollAfterDrainAborts)
+{
+    EXPECT_DEATH(
+        {
+            JobServer srv(testChip());
+            Ticket t = pasteOne(srv);
+            (void)srv.drain();
+            (void)srv.poll(t);
+        },
+        "ticket already claimed");
+}
+
+TEST(JobServerDeathTest, UnissuedTicketsAbort)
+{
+    EXPECT_DEATH(
+        {
+            JobServer srv(testChip());
+            (void)srv.wait(0);
+        },
+        "unknown ticket");
+    EXPECT_DEATH(
+        {
+            JobServer srv(testChip());
+            (void)srv.poll(1);    // nothing issued yet
+        },
+        "unknown ticket");
+    EXPECT_DEATH(
+        {
+            JobServer srv(testChip());
+            Ticket t = pasteOne(srv);
+            (void)srv.wait(t + 1);
+        },
+        "unknown ticket");
+}
+
+// The engines stay gated, so the first claimant sleeps for good and
+// the thread that arrives second, whichever it is, must abort.
+
+TEST(JobServerDeathTest, SecondWaiterOnATicketAborts)
+{
+    EXPECT_DEATH(
+        {
+            JobServer srv(testChip(), gatedServer());
+            Ticket t = pasteOne(srv);
+            std::thread waiter([&srv, t] { (void)srv.wait(t); });
+            (void)srv.wait(t);
+            waiter.join();
+        },
+        "ticket already being waited on");
+}
+
+TEST(JobServerDeathTest, DrainOfAWaitedTicketAborts)
+{
+    EXPECT_DEATH(
+        {
+            JobServer srv(testChip(), gatedServer());
+            Ticket t = pasteOne(srv);
+            std::thread waiter([&srv, t] { (void)srv.wait(t); });
+            (void)srv.drain();
+            waiter.join();
+        },
+        "ticket already being waited on");
 }
 
 } // namespace

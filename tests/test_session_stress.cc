@@ -144,6 +144,76 @@ TEST(SessionStress, ManySessionsSharedServerWithFaultsAllRoundTrip)
     EXPECT_GT(fallbacks, 0u);
 }
 
+TEST(SessionStress, TicketTableEmptiesAfterClaims)
+{
+    // Every device request claims its ticket, faulted ones and their
+    // resubmissions included, so the server's ticket table is empty
+    // again once the sessions are done, however many requests ran.
+    const size_t kSessions = 2;
+    const size_t kRequests = 2000;
+    nx::FaultInjector faults;
+    faults.failEveryNth(5);
+    JobServerConfig jcfg;
+    jcfg.workers = 2;
+    jcfg.windows = 2;
+    jcfg.window.fifoDepth = 4;
+    jcfg.faultInjector = &faults;
+    JobServer srv(testChip(), jcfg);
+
+    // The software oracle: it writes the streams the sessions inflate
+    // and decodes the streams they produce.
+    SessionPolicy swPol;
+    swPol.forceSoftware = true;
+    Session oracle(srv, swPol);
+    std::vector<std::vector<uint8_t>> payloads, streams;
+    for (uint64_t seed = 0; seed < 16; ++seed) {
+        payloads.push_back(workloads::makeMixed(64 + 61 * seed, seed));
+        streams.push_back(oracle.compress(payloads.back()).data);
+    }
+
+    std::vector<std::unique_ptr<Session>> sessions;
+    for (size_t s = 0; s < kSessions; ++s) {
+        SessionPolicy pol;
+        pol.accelThresholdBytes = 0;   // every request goes to the device
+        pol.faultRetries = 1;
+        pol.window = static_cast<int>(s);
+        pol.backoff.maxAttempts = 1000;
+        sessions.push_back(std::make_unique<Session>(srv, pol));
+    }
+
+    std::vector<int> bad(kSessions, 0);
+    std::vector<std::thread> clients;
+    clients.reserve(kSessions);
+    for (size_t s = 0; s < kSessions; ++s) {
+        clients.emplace_back([&, s] {
+            for (size_t j = 0; j < kRequests; ++j) {
+                size_t i = (s + j) % payloads.size();
+                nx::SessionResult r = j % 2 == 0
+                    ? sessions[s]->compress(payloads[i])
+                    : sessions[s]->decompress(streams[i]);
+                if (r.ok && j % 2 == 0)
+                    r = oracle.decompress(r.data);
+                if (!r.ok || r.data != payloads[i])
+                    ++bad[s];
+            }
+        });
+    }
+    for (auto &t : clients)
+        t.join();
+    for (size_t s = 0; s < kSessions; ++s)
+        EXPECT_EQ(bad[s], 0) << "session " << s;
+
+    auto st = srv.stats();
+    EXPECT_EQ(st.unclaimed, 0u);
+    EXPECT_EQ(st.submitted, st.completed);
+    EXPECT_GE(st.submitted, kSessions * kRequests);
+    EXPECT_GT(st.faultsInjected, 0u);
+    for (auto &sess : sessions)
+        sess->close();
+    oracle.close();
+    srv.drainAndStop();
+}
+
 TEST(SessionStress, OneSessionManyThreads)
 {
     const int kThreads = 6;

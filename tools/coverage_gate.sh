@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
 # Line-coverage gate (the ci.sh coverage stage) for the files listed in
-# tools/coverage_baseline.txt: the session layer, the DEFLATE decoder
-# and encoder, and the encoder's match finder and Huffman builder.
+# tools/coverage_baseline.txt: the session layer, the JobServer
+# dispatch layer, the DEFLATE decoder and encoder, and the encoder's
+# match finder and Huffman builder.
 #
 # Expects a build tree configured with the `coverage` preset
-# (NXSIM_COVERAGE=ON) in which the `session`-, `load`- and
-# `codec`-labeled ctest suites have already run, so the .gcda counters
-# exist. Runs gcov over each listed source file and fails when its
-# executed-line percentage falls below the checked-in minimum in
+# (NXSIM_COVERAGE=ON) in which the `session`-, `load`-, `codec`- and
+# `concurrency`-labeled ctest suites have already run, so the .gcda
+# counters exist. Runs gcov over each listed source file and fails when
+# its executed-line percentage falls below the checked-in minimum in
 # tools/coverage_baseline.txt — a one-way ratchet: raise the baseline
 # when coverage improves, never lower it to make a regression pass.
 #

@@ -7,9 +7,10 @@
  *
  * Compresses <in> to a gzip member at <out> (or decompresses with
  * -d). The output interoperates with standard gzip/gunzip — the
- * integration tests exercise exactly that. `-m sw` forces the
- * software codec; other modes go through the accelerator model and
- * print the modelled device time.
+ * integration tests exercise exactly that. The one-call path is an
+ * nx::Session: inputs of at least 4 KiB go through the accelerator
+ * model and print the modelled device time, smaller ones and `-m sw`
+ * run on the software codec.
  *
  * `-j N` routes the request through core::JobServer with N engine
  * workers: the input is split into ~1 MiB chunks (compress) or gzip
@@ -27,7 +28,7 @@
 #include <vector>
 
 #include "core/job_server.h"
-#include "core/nxzip.h"
+#include "core/session.h"
 #include "core/topology.h"
 #include "deflate/gzip_stream.h"
 #include "util/checked.h"
@@ -223,19 +224,18 @@ main(int argc, char **argv)
         topo = core::power9Chip();
     else
         return usage();    // an unknown chip must not silently model POWER9
-    nxzip::Options opts;
-    opts.framing = nx::Framing::Gzip;
-    opts.softwareLevel = level;
+    nx::SessionPolicy pol;
+    pol.level = level;
     if (mode == "fht")
-        opts.mode = core::Mode::Fht;
+        pol.mode = core::Mode::Fht;
     else if (mode == "dht")
-        opts.mode = core::Mode::DhtSampled;
+        pol.mode = core::Mode::DhtSampled;
     else if (mode == "dht2")
-        opts.mode = core::Mode::DhtTwoPass;
+        pol.mode = core::Mode::DhtTwoPass;
     else if (mode == "auto")
-        opts.mode = core::Mode::Auto;
+        pol.mode = core::Mode::Auto;
     else if (mode == "sw")
-        opts.minAccelBytes = UINT64_MAX;    // everything on the core
+        pol.forceSoftware = true;    // everything on the core
     else
         return usage();
 
@@ -246,15 +246,17 @@ main(int argc, char **argv)
                          "runs on the core)\n");
             return usage();
         }
-        return runParallel(decompress, jobs, topo, opts.mode, input,
+        return runParallel(decompress, jobs, topo, pol.mode, input,
                            files[1]);
     }
 
-    nxzip::Context ctx(topo, opts);
-    nxzip::Result res = decompress ? ctx.decompress(input)
-                                   : ctx.compress(input);
+    nx::Session sess(topo.accel, pol);
+    nx::SessionResult res = decompress ? sess.decompress(input)
+                                       : sess.compress(input);
     if (!res.ok) {
-        std::fprintf(stderr, "nxzip: %s\n", res.error.c_str());
+        std::fprintf(stderr, "nxzip: %s failed: %s\n",
+                     decompress ? "decompress" : "compress",
+                     res.error.c_str());
         return 1;
     }
     if (!writeFile(files[1], res.data)) {
@@ -266,9 +268,7 @@ main(int argc, char **argv)
     std::fprintf(stderr,
         "nxzip: %s %zu -> %zu bytes (%s path, %s, %.1f us)\n",
         decompress ? "decompressed" : "compressed", input.size(),
-        res.data.size(),
-        res.path == nxzip::Path::Accelerator ? "accelerator"
-                                             : "software",
+        res.data.size(), nx::toString(res.backend),
         util::Table::fmtRate(res.seconds > 0
             ? static_cast<double>(input.size()) / res.seconds
             : 0).c_str(),
