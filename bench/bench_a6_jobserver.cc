@@ -2,7 +2,7 @@
  * @file
  * A6 [extension] — JobServer dispatch-path scaling: real threads
  * through the asynchronous dispatch layer (core::JobServer) vs the
- * analytic VAS queueing model (nx::VasModel / simulateChip).
+ * analytic VAS queueing model (nx::ServiceModel / simulateChip).
  *
  * The measured half runs P producer threads pasting compress jobs into
  * bounded window FIFOs while W engine workers execute the actual

@@ -45,7 +45,10 @@
 #                      (perfbench/CMakeLists.txt) in build-perfbench and
 #                      runs its ctest: the self-tests (every workload in
 #                      both modes, output verification, plan repeats)
-#                      and the BENCHMARK.json name/unit check
+#                      and the BENCHMARK.json name/unit check; then runs
+#                      every workload for 1 s at seeds 1 and 424242 and
+#                      diffs the plan digest and `deterministic:` lines
+#                      against tools/perfbench_deterministic.txt
 #  13. lint            clang-tidy over files changed vs origin/main
 #                      (skipped with a notice when clang-tidy absent)
 #  14. fuzz smoke      30 s of each fuzz target on the seeded corpus
@@ -186,10 +189,22 @@ grep -q '"dynamic_blocks":' build-ci/bench_a3_smoke.json.counters
 diff -u build-ci/BENCH_a3_sw_codec.json.counters \
     build-ci/bench_a3_smoke.json.counters
 
-stage "perfbench (benchmark package + self-tests)" "12/14"
+stage "perfbench (package, self-tests, deterministic lines)" "12/14"
 cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-perfbench -j "$jobs"
 ctest --test-dir build-perfbench --output-on-failure
+# The modelled outputs (plan digest, ratio, modelled rate, engine
+# cycles, routes) are deterministic, so any move here is a model
+# change, never noise.
+for w in sw-small accel-bulk serve-mixed; do
+    for s in 1 424242; do
+        ./build-perfbench/perfbench --workload "$w" --seed "$s" \
+            --seconds 1 --trace 0 > build-perfbench/run.txt
+        grep -E '^(workload |deterministic: )' build-perfbench/run.txt
+    done
+done > build-perfbench/deterministic.txt
+grep -v '^#' tools/perfbench_deterministic.txt |
+    diff -u - build-perfbench/deterministic.txt
 
 if [ "$quick" = "--quick" ]; then
     stage_end

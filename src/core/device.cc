@@ -12,14 +12,9 @@
 
 namespace core {
 
-NxDevice::NxDevice(const nx::NxConfig &cfg) : cfg_(cfg)
+NxDevice::NxDevice(const nx::NxConfig &cfg)
+    : cfg_(cfg), comp_(cfg), decomp_(cfg)
 {
-    int nc = cfg.compressEnginesPerUnit * cfg.unitsPerChip;
-    int nd = cfg.decompressEnginesPerUnit * cfg.unitsPerChip;
-    for (int i = 0; i < nc; ++i)
-        comp_.push_back(std::make_unique<nx::CompressEngine>(cfg));
-    for (int i = 0; i < nd; ++i)
-        decomp_.push_back(std::make_unique<nx::DecompressEngine>(cfg));
 }
 
 JobResult
@@ -70,8 +65,11 @@ runDecompressJob(nx::DecompressEngine &eng, const nx::NxConfig &cfg,
     crb.framing = framing;
     crb.source = nx::DdeList::direct(0x1000, nx::checked_cast<uint32_t>(
         stream.size()));
+    // One direct DDE describes at most UINT32_MAX bytes. A larger cap
+    // is clamped to it; an output past that overflows on the device
+    // and is left to the caller's software leg.
     crb.target = nx::DdeList::direct(0x2000000, nx::checked_cast<uint32_t>(
-        max_output));
+        std::min<uint64_t>(max_output, UINT32_MAX)));
     crb.seq = seq;
 
     auto res = eng.run(crb, stream);
@@ -88,98 +86,15 @@ JobResult
 NxDevice::compress(std::span<const uint8_t> source, nx::Framing framing,
                    Mode mode)
 {
-    auto &eng = *comp_[nextComp_];
-    nextComp_ = (nextComp_ + 1) % comp_.size();
-    return runCompressJob(eng, cfg_, source, framing, mode, seq_++);
+    return runCompressJob(comp_, cfg_, source, framing, mode, seq_++);
 }
 
 JobResult
 NxDevice::decompress(std::span<const uint8_t> stream, nx::Framing framing,
                      uint64_t max_output)
 {
-    auto &eng = *decomp_[nextDecomp_];
-    nextDecomp_ = (nextDecomp_ + 1) % decomp_.size();
-    return runDecompressJob(eng, cfg_, stream, framing, max_output,
+    return runDecompressJob(decomp_, cfg_, stream, framing, max_output,
                             seq_++);
-}
-
-JobResult
-NxDevice::compressLarge(std::span<const uint8_t> source,
-                        size_t chunk_bytes, Mode mode)
-{
-    JobResult out;
-    out.csb.cc = nx::CondCode::Success;
-    out.csb.valid = true;
-
-    std::vector<sim::Tick> engineBusy(comp_.size(), 0);
-    size_t next = 0;
-    size_t off = 0;
-    do {
-        size_t n = std::min(chunk_bytes, source.size() - off);
-        auto job = compress(source.subspan(off, n),
-                            nx::Framing::Gzip, mode);
-        if (!job.ok()) {
-            out.csb.cc = job.csb.cc;
-            out.data.clear();
-            return out;
-        }
-        out.data.insert(out.data.end(), job.data.begin(),
-                        job.data.end());
-        engineBusy[next] += job.engineCycles;
-        next = (next + 1) % engineBusy.size();
-        off += n;
-    } while (off < source.size());
-
-    out.csb.processedBytes = source.size();
-    out.csb.producedBytes = out.data.size();
-    out.engineCycles = *std::max_element(engineBusy.begin(),
-                                         engineBusy.end());
-    out.seconds = cfg_.clock.toSeconds(out.engineCycles);
-    return out;
-}
-
-JobResult
-NxDevice::decompressLarge(std::span<const uint8_t> file,
-                          uint64_t max_output)
-{
-    JobResult out;
-    out.csb.valid = true;
-
-    std::vector<sim::Tick> engineBusy(decomp_.size(), 0);
-    size_t next = 0;
-    size_t off = 0;
-    uint64_t produced = 0;
-    while (off < file.size()) {
-        // Each member is one decompress CRB on the next engine.
-        auto member = deflate::gzipUnwrap(file.subspan(off));
-        if (!member.ok) {
-            out.csb.cc = nx::CondCode::BadData;
-            out.data.clear();
-            return out;
-        }
-        auto job = decompress(file.subspan(off, member.memberBytes),
-                              nx::Framing::Gzip,
-                              max_output - produced);
-        if (!job.ok()) {
-            out.csb.cc = job.csb.cc;
-            out.data.clear();
-            return out;
-        }
-        out.data.insert(out.data.end(), job.data.begin(),
-                        job.data.end());
-        produced += job.data.size();
-        engineBusy[next] += job.engineCycles;
-        next = (next + 1) % engineBusy.size();
-        off += member.memberBytes;
-    }
-
-    out.csb.cc = nx::CondCode::Success;
-    out.csb.processedBytes = file.size();
-    out.csb.producedBytes = out.data.size();
-    out.engineCycles = engineBusy.empty() ? 0
-        : *std::max_element(engineBusy.begin(), engineBusy.end());
-    out.seconds = cfg_.clock.toSeconds(out.engineCycles);
-    return out;
 }
 
 namespace {
@@ -227,44 +142,39 @@ SoftwareCodec::compress(std::span<const uint8_t> source,
 
 JobResult
 SoftwareCodec::decompress(std::span<const uint8_t> stream,
-                          nx::Framing framing)
+                          nx::Framing framing, uint64_t max_output)
 {
     JobResult out;
     auto t0 = Clock::now();
+    const auto cap = nx::checked_cast<size_t>(max_output);
     deflate::InflateResult inf;
+    bool ok = false;
     switch (framing) {
       case nx::Framing::Raw:
-        inf = deflate::inflateDecompress(stream);
+        inf = deflate::inflateDecompress(stream, cap);
+        ok = inf.ok();
         break;
       case nx::Framing::Gzip: {
-        auto res = deflate::gzipUnwrap(stream);
-        if (!res.ok) {
-            out.csb.cc = nx::CondCode::BadData;
-            out.csb.valid = true;
-            return out;
-        }
+        auto res = deflate::gzipUnwrap(stream, cap);
+        ok = res.ok;
         inf = std::move(res.inflate);
         break;
       }
       case nx::Framing::Zlib: {
-        auto res = deflate::zlibUnwrap(stream);
-        if (!res.ok) {
-            out.csb.cc = nx::CondCode::BadData;
-            out.csb.valid = true;
-            return out;
-        }
+        auto res = deflate::zlibUnwrap(stream, cap);
+        ok = res.ok;
         inf = std::move(res.inflate);
         break;
       }
     }
-    if (!inf.ok()) {
-        out.csb.cc = nx::CondCode::BadData;
-        out.csb.valid = true;
+    out.csb.valid = true;
+    if (!ok) {
+        out.csb.cc = inf.status == deflate::InflateStatus::OutputLimit
+            ? nx::CondCode::OutputOverflow : nx::CondCode::BadData;
         return out;
     }
     out.seconds = secondsSince(t0);
     out.csb.cc = nx::CondCode::Success;
-    out.csb.valid = true;
     out.csb.processedBytes = stream.size();
     out.csb.producedBytes = inf.bytes.size();
     out.data = std::move(inf.bytes);

@@ -3,25 +3,24 @@
  * NxDevice — the per-chip accelerator handle a user program opens.
  *
  * Mirrors the shape of the production software stack (libnxz / zEDC):
- * open a device (VAS window), build jobs, submit synchronously or in
- * batches, read back the CSB and the modelled completion time. The
- * device multiplexes requests across its compress and decompress
- * engines round-robin, which is what the switchboard does for a single
- * window on real hardware.
+ * open a device (VAS window), build jobs, submit synchronously, read
+ * back the CSB and the modelled completion time. The device runs every
+ * job on its one compress or decompress engine; an engine resets its
+ * state on each CRB, so one engine gives the same bytes and cycles as
+ * any of several. Engines running in parallel are modelled by
+ * core::JobServer's workers.
  */
 
 #ifndef NXSIM_CORE_DEVICE_H
 #define NXSIM_CORE_DEVICE_H
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "nx/compress_engine.h"
 #include "nx/decompress_engine.h"
 #include "nx/nx_config.h"
-#include "util/checked.h"
 
 namespace core {
 
@@ -97,48 +96,15 @@ class NxDevice
                          nx::Framing framing = nx::Framing::Gzip,
                          uint64_t max_output = uint64_t{1} << 30);
 
-    /**
-     * Compress a large buffer by splitting it into @p chunk_bytes
-     * jobs issued round-robin across all compress engines; the output
-     * is a multi-member gzip file (gunzip-compatible concatenation).
-     * The modelled time assumes the engines run in parallel: it is
-     * the max over engines of the sum of their jobs' cycles.
-     */
-    [[nodiscard]] JobResult compressLarge(std::span<const uint8_t> source,
-                            size_t chunk_bytes = 4u << 20,
-                            Mode mode = Mode::DhtSampled);
-
-    /** Decompress a multi-member gzip file (see compressLarge). */
-    [[nodiscard]] JobResult decompressLarge(std::span<const uint8_t> file,
-                              uint64_t max_output = uint64_t{1} << 30);
-
     /** Job size below which Auto mode selects FHT. */
     static constexpr uint64_t autoFhtThreshold() { return 32 * 1024; }
 
     const nx::NxConfig &config() const { return cfg_; }
 
-    /** Engine pool introspection (tests, benches). */
-    nx::CompressEngine &
-    compressEngine(int i)
-    {
-        return *comp_[static_cast<size_t>(i)];
-    }
-    nx::DecompressEngine &
-    decompressEngine(int i)
-    {
-        return *decomp_[static_cast<size_t>(i)];
-    }
-    int compressEngineCount() const { return nx::checked_cast<int>(
-        comp_.size()); }
-    int decompressEngineCount() const { return nx::checked_cast<int>(
-        decomp_.size()); }
-
   private:
     nx::NxConfig cfg_;
-    std::vector<std::unique_ptr<nx::CompressEngine>> comp_;
-    std::vector<std::unique_ptr<nx::DecompressEngine>> decomp_;
-    size_t nextComp_ = 0;
-    size_t nextDecomp_ = 0;
+    nx::CompressEngine comp_;
+    nx::DecompressEngine decomp_;
     uint64_t seq_ = 0;
 };
 
@@ -155,8 +121,13 @@ class SoftwareCodec
 
     [[nodiscard]] JobResult compress(std::span<const uint8_t> source,
                        nx::Framing framing = nx::Framing::Gzip);
+    /**
+     * Decompress @p stream; one that inflates past @p max_output bytes
+     * fails with CSB OutputOverflow, as on the device.
+     */
     [[nodiscard]] JobResult decompress(std::span<const uint8_t> stream,
-                         nx::Framing framing = nx::Framing::Gzip);
+                         nx::Framing framing = nx::Framing::Gzip,
+                         uint64_t max_output = uint64_t{1} << 30);
 
     int level() const { return level_; }
 

@@ -217,7 +217,6 @@ JobServer::workerLoop(int w)
         }
 
         waitLatency_.record(secondsSince(p.pasteTime));
-        serviceCycles_.record(static_cast<double>(r.engineCycles));
 
         bool idle = false;
         {
@@ -367,7 +366,6 @@ JobServer::stats() const
         s.windowBusyRejects = windowBusyRejects_;
     }
     s.wait = waitLatency_.snapshot();
-    s.service = serviceCycles_.snapshot();
     return s;
 }
 

@@ -22,7 +22,7 @@
  *   so async outputs are bit-identical to NxDevice::compress/
  *   decompress for the same job list — while charging the modelled
  *   engine cycles to their worker, so aggregate modelled throughput
- *   can be cross-checked against the analytic nx::VasModel / vas.h
+ *   can be cross-checked against the analytic nx::ServiceModel / vas.h
  *   queueing predictions (E6/A6).
  * - Per-window FIFO order is a hard guarantee: jobs pasted into one
  *   window are dispatched to engines in paste order (completions may
@@ -196,7 +196,6 @@ struct JobServerStats
     /** Busy rejects per VAS window (who bounced off which FIFO). */
     std::vector<uint64_t> windowBusyRejects;
     util::LatencyRecorder::Snapshot wait;      ///< wall seconds, paste->CSB
-    util::LatencyRecorder::Snapshot service;   ///< modelled cycles per job
 
     /** Modelled wall time of the run assuming engines ran in parallel. */
     double
@@ -356,7 +355,6 @@ class JobServer
     std::vector<sim::Tick> workerCycles_ NXSIM_GUARDED_BY(mu_);
     util::RunningStat queueDepth_ NXSIM_GUARDED_BY(mu_);
     util::LatencyRecorder waitLatency_;
-    util::LatencyRecorder serviceCycles_;
 };
 
 } // namespace core

@@ -232,7 +232,8 @@ Session::softwareLeg(core::JobKind kind,
     core::SoftwareCodec codec(pol_.level);
     core::JobResult r = kind == core::JobKind::Compress
         ? codec.compress(input, framingOf(pol_.format))
-        : codec.decompress(input, framingOf(pol_.format));
+        : codec.decompress(input, framingOf(pol_.format),
+                           pol_.maxOutputBytes);
     out.ok = r.ok();
     out.seconds = r.seconds;
     if (r.ok())

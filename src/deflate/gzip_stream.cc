@@ -102,7 +102,8 @@ gzipTrailerCrc(std::span<const uint8_t> member)
 }
 
 GzipUnwrapResult
-gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member)
+gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member,
+           size_t max_output)
 {
     GzipUnwrapResult res;
     if (member.size() < 18) {
@@ -176,7 +177,7 @@ gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member)
     }
 
     res.inflate = inflateDecompress(member.subspan(pos,
-        member.size() - pos - 8));
+        member.size() - pos - 8), max_output);
     if (!res.inflate.ok()) {
         res.error = std::string("inflate: ") +
             toString(res.inflate.status);

@@ -72,9 +72,15 @@ struct GzipUnwrapResult
     size_t memberBytes = 0;
 };
 
-/** Parse the header, inflate the payload, verify CRC-32 and ISIZE. */
+/**
+ * Parse the header, inflate the payload, verify CRC-32 and ISIZE.
+ *
+ * @param max_output cap on the inflated size; a larger payload fails
+ *                   with InflateStatus::OutputLimit in `inflate.status`
+ */
 [[nodiscard]] GzipUnwrapResult
-gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member);
+gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member,
+           size_t max_output = size_t{1} << 30);
 
 /** Result of unwrapping a whole (possibly multi-member) gzip file. */
 struct GzipFileResult

@@ -63,7 +63,8 @@ zlibTrailerAdler(std::span<const uint8_t> stream)
 }
 
 ZlibUnwrapResult
-zlibUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> stream)
+zlibUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
+           size_t max_output)
 {
     ZlibUnwrapResult res;
     if (stream.size() < 6) {
@@ -85,7 +86,8 @@ zlibUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> stream)
         return res;
     }
 
-    res.inflate = inflateDecompress(stream.subspan(2, stream.size() - 6));
+    res.inflate = inflateDecompress(stream.subspan(2, stream.size() - 6),
+                                    max_output);
     if (!res.inflate.ok()) {
         res.error = std::string("inflate: ") +
             toString(res.inflate.status);

@@ -38,9 +38,15 @@ struct ZlibUnwrapResult
     uint32_t adler = 0;
 };
 
-/** Parse header, inflate, verify Adler-32. */
+/**
+ * Parse header, inflate, verify Adler-32.
+ *
+ * @param max_output cap on the inflated size; a larger payload fails
+ *                   with InflateStatus::OutputLimit in `inflate.status`
+ */
 [[nodiscard]] ZlibUnwrapResult
-zlibUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> stream);
+zlibUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
+           size_t max_output = size_t{1} << 30);
 
 /**
  * Wrap a preset-dictionary stream (RFC 1950 FDICT): the header

@@ -57,14 +57,12 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
     if (cc != CondCode::Success || crb.func == FuncCode::Decompress) {
         job.csb.cc = cc != CondCode::Success ? cc : CondCode::BadCrb;
         job.csb.valid = true;
-        stats_.inc("bad_crbs");
         return job;
     }
 
     job.timing.dispatch = cfg_.dispatchCycles;
     job.timing.completion = cfg_.completionCycles;
     job.timing.dmaIn = dmaIn_.transferCycles(source.size());
-    dmaIn_.recordTransfer(source.size());
 
     EncodeResult enc;
     if (crb.func == FuncCode::Wrap) {
@@ -110,23 +108,16 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
         job.csb.valid = true;
         job.csb.processedBytes = 0;
         job.csb.producedBytes = 0;
-        stats_.inc("output_overflows");
         return job;
     }
 
     job.timing.dmaOut = dmaOut_.transferCycles(framed.size());
-    dmaOut_.recordTransfer(framed.size());
 
     job.csb.cc = CondCode::Success;
     job.csb.valid = true;
     job.csb.processedBytes = source.size();
     job.csb.producedBytes = framed.size();
     job.output = std::move(framed);
-
-    stats_.inc("jobs");
-    stats_.inc("source_bytes", source.size());
-    stats_.inc("output_bytes", job.output.size());
-    stats_.inc("cycles", job.timing.total());
     return job;
 }
 

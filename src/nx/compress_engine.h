@@ -16,6 +16,7 @@
 #ifndef NXSIM_NX_COMPRESS_ENGINE_H
 #define NXSIM_NX_COMPRESS_ENGINE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -27,7 +28,6 @@
 #include "nx/nx_config.h"
 #include "sim/memory_model.h"
 #include "sim/ticks.h"
-#include "util/stats.h"
 
 namespace nx {
 
@@ -93,7 +93,6 @@ class CompressEngine
                           uint64_t dht_sample_bytes = 0);
 
     const NxConfig &config() const { return cfg_; }
-    const util::StatSet &stats() const { return stats_; }
 
   private:
     NxConfig cfg_;
@@ -102,7 +101,6 @@ class CompressEngine
     HuffmanStage huffman_;
     sim::DmaPort dmaIn_;
     sim::DmaPort dmaOut_;
-    util::StatSet stats_;
 };
 
 } // namespace nx

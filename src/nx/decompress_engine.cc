@@ -3,6 +3,7 @@
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
 #include "deflate/zlib_stream.h"
+#include "util/checked.h"
 #include "util/crc32.h"
 
 namespace nx {
@@ -21,60 +22,45 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     if (cc != CondCode::Success || crb.func != FuncCode::Decompress) {
         job.csb.cc = cc != CondCode::Success ? cc : CondCode::BadCrb;
         job.csb.valid = true;
-        stats_.inc("bad_crbs");
         return job;
     }
 
     job.timing.dispatch = cfg_.dispatchCycles;
     job.timing.completion = cfg_.completionCycles;
     job.timing.dmaIn = dmaIn_.transferCycles(source.size());
-    dmaIn_.recordTransfer(source.size());
 
+    // The target DDEs cap the inflate itself: a stream that does not
+    // fit stops at the cap instead of being decoded in full first.
+    const auto cap = nx::checked_cast<size_t>(crb.target.totalBytes());
     deflate::InflateResult inf;
+    bool ok = false;
     uint32_t checksum = 0;
     switch (crb.framing) {
-      case Framing::Raw: {
-        inf = deflate::inflateDecompress(source);
-        if (inf.ok())
+      case Framing::Raw:
+        inf = deflate::inflateDecompress(source, cap);
+        ok = inf.ok();
+        if (ok)
             checksum = util::crc32(inf.bytes);
         break;
-      }
       case Framing::Gzip: {
-        auto res = deflate::gzipUnwrap(source);
-        if (!res.ok) {
-            job.csb.cc = CondCode::BadData;
-            job.csb.valid = true;
-            stats_.inc("bad_data");
-            return job;
-        }
+        auto res = deflate::gzipUnwrap(source, cap);
+        ok = res.ok;
         inf = std::move(res.inflate);
         checksum = res.crc;
         break;
       }
       case Framing::Zlib: {
-        auto res = deflate::zlibUnwrap(source);
-        if (!res.ok) {
-            job.csb.cc = CondCode::BadData;
-            job.csb.valid = true;
-            stats_.inc("bad_data");
-            return job;
-        }
+        auto res = deflate::zlibUnwrap(source, cap);
+        ok = res.ok;
         inf = std::move(res.inflate);
         checksum = res.adler;
         break;
       }
     }
-    if (!inf.ok()) {
-        job.csb.cc = CondCode::BadData;
+    if (!ok) {
+        job.csb.cc = inf.status == deflate::InflateStatus::OutputLimit
+            ? CondCode::OutputOverflow : CondCode::BadData;
         job.csb.valid = true;
-        stats_.inc("bad_data");
-        return job;
-    }
-
-    if (inf.bytes.size() > crb.target.totalBytes()) {
-        job.csb.cc = CondCode::OutputOverflow;
-        job.csb.valid = true;
-        stats_.inc("output_overflows");
         return job;
     }
 
@@ -88,7 +74,6 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     // its symbols; model a fixed cost per table (two tables per block).
     job.timing.tableLoads = (st.dynamicBlocks * 2) * 512;
     job.timing.dmaOut = dmaOut_.transferCycles(inf.bytes.size());
-    dmaOut_.recordTransfer(inf.bytes.size());
 
     job.csb.cc = CondCode::Success;
     job.csb.valid = true;
@@ -96,11 +81,6 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     job.csb.producedBytes = inf.bytes.size();
     job.csb.checksum = checksum;
     job.output = std::move(inf.bytes);
-
-    stats_.inc("jobs");
-    stats_.inc("source_bytes", source.size());
-    stats_.inc("output_bytes", job.output.size());
-    stats_.inc("cycles", job.timing.total());
     return job;
 }
 

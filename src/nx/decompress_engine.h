@@ -17,6 +17,7 @@
 #ifndef NXSIM_NX_DECOMPRESS_ENGINE_H
 #define NXSIM_NX_DECOMPRESS_ENGINE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "nx/nx_config.h"
 #include "sim/memory_model.h"
 #include "sim/ticks.h"
-#include "util/stats.h"
 
 namespace nx {
 
@@ -73,13 +73,11 @@ class DecompressEngine
                             std::span<const uint8_t> source);
 
     const NxConfig &config() const { return cfg_; }
-    const util::StatSet &stats() const { return stats_; }
 
   private:
     NxConfig cfg_;
     sim::DmaPort dmaIn_;
     sim::DmaPort dmaOut_;
-    util::StatSet stats_;
 };
 
 } // namespace nx

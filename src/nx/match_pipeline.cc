@@ -130,13 +130,6 @@ MatchPipeline::run(std::span<const uint8_t> input)
     flushRow();
 
     res.cycles = res.rows + res.bankStallCycles;
-
-    stats_.inc("runs");
-    stats_.inc("bytes", n);
-    stats_.inc("cycles", res.cycles);
-    stats_.inc("bank_stall_cycles", res.bankStallCycles);
-    stats_.inc("lookups", res.lookups);
-    stats_.inc("matches", res.matches);
     return res;
 }
 

@@ -33,7 +33,6 @@
 #include "nx/hash_table.h"
 #include "nx/nx_config.h"
 #include "sim/ticks.h"
-#include "util/stats.h"
 
 namespace nx {
 
@@ -64,8 +63,6 @@ class MatchPipeline
      */
     [[nodiscard]] MatchResult run(std::span<const uint8_t> input);
 
-    /** Cumulative event counters across run() calls. */
-    const util::StatSet &stats() const { return stats_; }
 
   private:
     /** Longest valid match at @p pos among table candidates. */
@@ -74,7 +71,6 @@ class MatchPipeline
 
     NxConfig cfg_;
     BankedHashTable table_;
-    util::StatSet stats_;
 };
 
 } // namespace nx

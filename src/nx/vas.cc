@@ -6,10 +6,18 @@
 #include "util/prng.h"
 #include "util/stats.h"
 #include "util/checked.h"
+#include "util/contracts.h"
 
 namespace nx {
 
 namespace {
+
+/**
+ * Modelled requester back-off after a busy-reject before the next
+ * paste attempt. The threaded core::JobServer's clients use
+ * core::BackoffPolicy wall-clock delays instead.
+ */
+constexpr sim::Tick kRetryCycles = 2000;
 
 /** Closed-loop chip simulation state. */
 class ChipSim
@@ -67,8 +75,7 @@ class ChipSim
             queue_.size() >=
                 static_cast<size_t>(cfg_.window.fifoDepth)) {
             ++busyRejects_;
-            eq_.scheduleIn(std::max<sim::Tick>(cfg_.window.retryCycles,
-                                               1),
+            eq_.scheduleIn(kRetryCycles,
                            [this, requester] { submit(requester); });
             return;
         }
@@ -169,6 +176,10 @@ class ChipSim
 VasSimResult
 simulateChip(const VasSimConfig &cfg)
 {
+    // A zero rate would draw infinite gaps, and an infinite tick count
+    // does not exist: the run would complete no job and say nothing.
+    NXSIM_EXPECT(!cfg.openArrival || cfg.arrivalsPerSec > 0.0,
+                 "open arrival needs a positive arrivalsPerSec");
     ChipSim sim(cfg);
     return sim.run();
 }

@@ -60,13 +60,6 @@ struct ServiceModel
     }
 };
 
-/**
- * Alias under the name the benches and docs use: the analytic VAS/
- * engine model that measured JobServer percentiles are cross-checked
- * against (E6, A6).
- */
-using VasModel = ServiceModel;
-
 /** Configuration of one scaling simulation. */
 struct VasSimConfig
 {
@@ -91,9 +84,9 @@ struct VasSimConfig
     /**
      * Receive-FIFO model. The default (fifoDepth 0, unbounded) keeps
      * the legacy analytic behaviour; a bounded window busy-rejects
-     * pastes when full and the requester retries after
-     * window.retryCycles — the same contract core::JobServer enforces
-     * with real threads.
+     * pastes when full and the requester re-pastes after a fixed
+     * 2,000-cycle back-off — the same contract core::JobServer
+     * enforces with real threads.
      */
     WindowConfig window{.fifoDepth = 0};
 };

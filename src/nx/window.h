@@ -15,8 +15,6 @@
 #ifndef NXSIM_NX_WINDOW_H
 #define NXSIM_NX_WINDOW_H
 
-#include "sim/ticks.h"
-
 namespace nx {
 
 /**
@@ -43,7 +41,7 @@ toString(PasteStatus st)
     return "?";
 }
 
-/** Receive-FIFO geometry and retry behaviour of one VAS window. */
+/** Receive-FIFO geometry of one VAS window. */
 struct WindowConfig
 {
     /**
@@ -52,13 +50,6 @@ struct WindowConfig
      * backpressure is not the phenomenon under study).
      */
     int fifoDepth = 16;
-
-    /**
-     * Modelled requester back-off after a busy-reject before the next
-     * paste attempt (analytic model only; the threaded server's
-     * clients use core::BackoffPolicy wall-clock delays instead).
-     */
-    sim::Tick retryCycles = 2000;
 
     bool bounded() const { return fifoDepth > 0; }
 };

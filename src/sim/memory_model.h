@@ -5,9 +5,9 @@
  * the NX DMA engine from the CRB's scatter/gather lists.
  *
  * The model is deliberately coarse — fixed startup latency plus a
- * bytes/cycle ceiling with a utilization tracker — because the paper's
- * throughput phenomena (engine-bound vs DMA-bound crossover, queueing at
- * high requester counts) only need those two parameters.
+ * bytes/cycle ceiling — because the paper's throughput phenomena
+ * (engine-bound vs DMA-bound crossover, queueing at high requester
+ * counts) only need those two parameters.
  */
 
 #ifndef NXSIM_SIM_MEMORY_MODEL_H
@@ -16,7 +16,6 @@
 #include <cstdint>
 
 #include "sim/ticks.h"
-#include "util/stats.h"
 
 namespace sim {
 
@@ -31,7 +30,7 @@ struct DmaParams
     Tick perPageCycles = 4;
 };
 
-/** One direction of DMA movement with utilization accounting. */
+/** One direction of DMA movement. */
 class DmaPort
 {
   public:
@@ -50,21 +49,10 @@ class DmaPort
         return params_.startupCycles + data + pages;
     }
 
-    /** Record a completed transfer for utilization stats. */
-    void
-    recordTransfer(uint64_t bytes)
-    {
-        stats_.inc("transfers");
-        stats_.inc("bytes", bytes);
-        stats_.inc("cycles", transferCycles(bytes));
-    }
-
-    const util::StatSet &stats() const { return stats_; }
     const DmaParams &params() const { return params_; }
 
   private:
     DmaParams params_;
-    util::StatSet stats_;
 };
 
 } // namespace sim

@@ -98,11 +98,11 @@ class Xoshiro256
             double v = uniform();
             double x = std::floor(std::pow(u, -1.0 / (s - 1.0 + 1e-9)));
             double t = std::pow(1.0 + 1.0 / x, s - 1.0 + 1e-9);
-            if (v * x * (t - 1.0) / (b - 1.0) <= t / b) {
-                auto r = static_cast<uint64_t>(x) - 1;
-                if (r < n)
-                    return r;
-            }
+            // Reject ranks past n before the cast: x can reach 1e33,
+            // and casting a double beyond uint64_t's range is undefined.
+            if (v * x * (t - 1.0) / (b - 1.0) <= t / b &&
+                x <= static_cast<double>(n))
+                return static_cast<uint64_t>(x) - 1;
         }
     }
 

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace util {
 
@@ -22,22 +21,6 @@ Percentiles::percentile(double p) const
     size_t hi = std::min(lo + 1, samples_.size() - 1);
     double frac = rank - static_cast<double>(lo);
     return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-uint64_t
-StatSet::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-std::string
-StatSet::dump(const std::string &prefix) const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : counters_)
-        os << prefix << "." << name << " = " << value << "\n";
-    return os.str();
 }
 
 } // namespace util

@@ -1,8 +1,7 @@
 /**
  * @file
  * Lightweight statistics helpers shared by the simulator and the benches:
- * running mean/stddev, percentile-capable histograms, and a named counter
- * registry in the spirit of gem5's Stats package (much simplified).
+ * running mean/stddev and exact percentiles over a sample reservoir.
  */
 
 #ifndef NXSIM_UTIL_STATS_H
@@ -10,8 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace util {
@@ -81,45 +78,6 @@ class Percentiles
     size_t cap_;
     uint64_t total_ = 0;
     mutable std::vector<double> samples_;
-};
-
-/**
- * Named monotonic counters grouped under an owner prefix.
- *
- * Engines expose a StatSet so tests can assert on microarchitectural
- * event counts (bank conflicts, stall cycles, resubmissions, ...).
- */
-class StatSet
-{
-  public:
-    /** Add @p delta to counter @p name (creating it at zero). */
-    void
-    inc(const std::string &name, uint64_t delta = 1)
-    {
-        counters_[name] += delta;
-    }
-
-    /** Set counter @p name to an absolute value. */
-    void
-    set(const std::string &name, uint64_t value)
-    {
-        counters_[name] = value;
-    }
-
-    /** Current value (zero when never touched). */
-    uint64_t get(const std::string &name) const;
-
-    /** All counters, sorted by name. */
-    const std::map<std::string, uint64_t> &all() const { return counters_; }
-
-    /** Reset every counter to zero. */
-    void clear() { counters_.clear(); }
-
-    /** Render as "name = value" lines with an owner prefix. */
-    std::string dump(const std::string &prefix) const;
-
-  private:
-    std::map<std::string, uint64_t> counters_;
 };
 
 } // namespace util

@@ -76,19 +76,6 @@ TEST(NxDevice, AutoModePicksFhtForSmallJobs)
     EXPECT_EQ((cb.data[0] >> 1) & 0x3, 2);    // dynamic
 }
 
-TEST(NxDevice, RoundRobinAcrossEngines)
-{
-    auto cfg = nx::NxConfig::power9();
-    cfg.compressEnginesPerUnit = 2;    // hypothetical dual-engine unit
-    NxDevice dev(cfg);
-    ASSERT_GE(dev.compressEngineCount(), 2);
-    auto input = workloads::makeText(10000, 74);
-    (void)dev.compress(input);
-    (void)dev.compress(input);
-    EXPECT_EQ(dev.compressEngine(0).stats().get("jobs"), 1u);
-    EXPECT_EQ(dev.compressEngine(1).stats().get("jobs"), 1u);
-}
-
 TEST(NxDevice, ReportsModelledSeconds)
 {
     NxDevice dev(nx::NxConfig::power9());

@@ -1,14 +1,11 @@
 /**
  * @file
  * Preset-dictionary and multi-member tests: deflate/inflate with
- * dictionaries, the zlib FDICT container, gzip member concatenation,
- * and the device-level parallel compressLarge/decompressLarge path.
+ * dictionaries, the zlib FDICT container and gzip member concatenation.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/device.h"
-#include "core/topology.h"
 #include "deflate/deflate_encoder.h"
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
@@ -198,68 +195,4 @@ TEST(GzipMultiMember, TrailingGarbageRejected)
     file.push_back(0x42);
     auto res = deflate::gzipUnwrapAll(file);
     EXPECT_FALSE(res.ok);
-}
-
-class CompressLargeTest : public ::testing::Test
-{
-  protected:
-    core::NxDevice
-    makeDualEngineDevice()
-    {
-        auto cfg = nx::NxConfig::power9();
-        cfg.compressEnginesPerUnit = 2;
-        cfg.decompressEnginesPerUnit = 2;
-        return core::NxDevice(cfg);
-    }
-};
-
-TEST_F(CompressLargeTest, RoundTrip)
-{
-    auto dev = makeDualEngineDevice();
-    auto input = workloads::makeMixed(10 << 20, 118);
-    auto c = dev.compressLarge(input, 2 << 20);
-    ASSERT_TRUE(c.ok());
-    auto d = dev.decompressLarge(c.data);
-    ASSERT_TRUE(d.ok());
-    EXPECT_EQ(d.data, input);
-}
-
-TEST_F(CompressLargeTest, ParallelismReducesModelledTime)
-{
-    auto input = workloads::makeText(8 << 20, 119);
-
-    core::NxDevice one(nx::NxConfig::power9());
-    auto serial = one.compress(input, nx::Framing::Gzip,
-                               core::Mode::DhtSampled);
-    ASSERT_TRUE(serial.ok());
-
-    auto dev = makeDualEngineDevice();
-    auto par = dev.compressLarge(input, 1 << 20);
-    ASSERT_TRUE(par.ok());
-    // Two engines in parallel: max-of-sums should be well below the
-    // single-engine serial time.
-    EXPECT_LT(par.seconds, serial.seconds * 0.7);
-}
-
-TEST_F(CompressLargeTest, OutputIsValidMultiMemberGzip)
-{
-    auto dev = makeDualEngineDevice();
-    auto input = workloads::makeCsv(5 << 20, 120);
-    auto c = dev.compressLarge(input, 1 << 20);
-    ASSERT_TRUE(c.ok());
-    auto res = deflate::gzipUnwrapAll(c.data);
-    ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(res.members, 5u);
-    EXPECT_EQ(res.bytes, input);
-}
-
-TEST_F(CompressLargeTest, EmptyInput)
-{
-    auto dev = makeDualEngineDevice();
-    std::vector<uint8_t> empty;
-    auto c = dev.compressLarge(empty);
-    ASSERT_TRUE(c.ok());
-    auto d = dev.decompressLarge(c.data);
-    ASSERT_TRUE(d.ok());
-    EXPECT_TRUE(d.data.empty());
 }

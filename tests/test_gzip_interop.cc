@@ -149,25 +149,6 @@ TEST_F(GzipInterop, WeAcceptSystemGzipOutput)
     }
 }
 
-TEST_F(GzipInterop, GunzipAcceptsCompressLargeMultiMember)
-{
-    // compressLarge emits concatenated gzip members; gunzip must
-    // treat the file as one logical stream.
-    auto cfg = nx::NxConfig::power9();
-    cfg.compressEnginesPerUnit = 2;
-    core::NxDevice dev(cfg);
-    auto input = workloads::makeMixed(3 << 20, 76);
-    auto c = dev.compressLarge(input, 1 << 20);
-    ASSERT_TRUE(c.ok());
-
-    auto gz = tmpPath("multi.gz");
-    auto out = tmpPath("multi.out");
-    writeFile(gz, c.data);
-    ASSERT_EQ(run("gunzip -c " + gz + " > " + out + " 2>/dev/null"),
-              0);
-    EXPECT_EQ(readFile(out), input);
-}
-
 TEST_F(GzipInterop, WeAcceptConcatenatedSystemGzipMembers)
 {
     auto a = workloads::makeText(50000, 77);

@@ -192,7 +192,6 @@ TEST(JobServerStress, ManyProducersMixedJobsAllCompleteAndRoundTrip)
     EXPECT_EQ(st.submitted, kProducers * kJobsPerProducer);
     EXPECT_EQ(st.completed, st.submitted);
     EXPECT_EQ(st.wait.count, st.completed);
-    EXPECT_EQ(st.service.count, st.completed);
 }
 
 TEST(JobServerStress, SingleWindowDispatchIsExactlyPasteOrder)
@@ -561,9 +560,7 @@ TEST(JobServerStats, RecordsDepthLatencyAndEngineCycles)
     EXPECT_GT(st.bytesOut, 0u);
     EXPECT_GT(st.meanQueueDepth, 1.0);    // FIFO really backed up
     EXPECT_EQ(st.wait.count, static_cast<uint64_t>(kJobs));
-    EXPECT_EQ(st.service.count, static_cast<uint64_t>(kJobs));
     EXPECT_GE(st.wait.p99, st.wait.p50);
-    EXPECT_GE(st.service.p99, st.service.p50);
     EXPECT_GT(st.engineCyclesSum, 0u);
     // The parallel makespan can never exceed the serial sum (equality
     // is legal: a fast worker may drain the whole FIFO alone).

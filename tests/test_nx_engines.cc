@@ -3,16 +3,22 @@
  * Compress/decompress engine tests: CRB handling, functional round
  * trips through the independent software inflater (and the reverse:
  * software streams through the accelerator decompressor), framing,
- * checksums, error condition codes, and timing-model invariants.
+ * checksums, error condition codes, timing-model invariants, and that
+ * a job on a reused engine equals the same job on a fresh one.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "deflate/deflate_encoder.h"
 #include "deflate/gzip_stream.h"
 #include "deflate/inflate_decoder.h"
+#include "deflate/zlib_stream.h"
 #include "nx/compress_engine.h"
 #include "nx/decompress_engine.h"
+#include "nx/match_pipeline.h"
 #include "util/adler32.h"
 #include "util/crc32.h"
 #include "workloads/corpus.h"
@@ -314,4 +320,142 @@ TEST_F(DecompressEngineTest, Z15FasterThanPower9)
     ASSERT_EQ(jp.csb.cc, CondCode::Success);
     ASSERT_EQ(jz.csb.cc, CondCode::Success);
     EXPECT_LT(jz.timing.total(), jp.timing.total());
+}
+
+// ---------------------------------------------------------------------------
+// Reuse: NxDevice and every JobServer worker run all their jobs on one
+// engine, so a job on a used engine must equal the same job on a fresh
+// one, field for field.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** The two inputs every reuse test runs, in this order. */
+struct ReuseInputs
+{
+    std::vector<uint8_t> first = workloads::makeJson(200000, 60);
+    std::vector<uint8_t> second = workloads::makeLog(90000, 61);
+};
+
+void
+expectSameCsb(const nx::Csb &a, const nx::Csb &b)
+{
+    EXPECT_EQ(a.cc, b.cc);
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.processedBytes, b.processedBytes);
+    EXPECT_EQ(a.producedBytes, b.producedBytes);
+    EXPECT_EQ(a.faultAddress, b.faultAddress);
+    EXPECT_EQ(a.checksum, b.checksum);
+}
+
+void
+expectSameMatch(const nx::MatchResult &a, const nx::MatchResult &b)
+{
+    ASSERT_EQ(a.tokens.size(), b.tokens.size());
+    for (size_t i = 0; i < a.tokens.size(); ++i) {
+        const deflate::Token &x = a.tokens[i];
+        const deflate::Token &y = b.tokens[i];
+        ASSERT_TRUE(x.length == y.length && x.dist == y.dist &&
+                    x.literal == y.literal) << "token " << i;
+    }
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.bankStallCycles, b.bankStallCycles);
+    EXPECT_EQ(a.lookups, b.lookups);
+    EXPECT_EQ(a.candidatesTried, b.candidatesTried);
+    EXPECT_EQ(a.matches, b.matches);
+    EXPECT_EQ(a.matchedBytes, b.matchedBytes);
+}
+
+} // namespace
+
+TEST_F(CompressEngineTest, ReusedEngineMatchesFreshEngine)
+{
+    const ReuseInputs in;
+    const struct
+    {
+        FuncCode func;
+        DhtMode dht;
+        const char *name;
+    } modes[] = {
+        {FuncCode::CompressFht, DhtMode::Sampled, "fht"},
+        {FuncCode::CompressDht, DhtMode::Sampled, "sampled"},
+        {FuncCode::CompressDht, DhtMode::TwoPass, "two-pass"},
+    };
+    for (const auto &m : modes) {
+        for (Framing fr : {Framing::Raw, Framing::Gzip, Framing::Zlib}) {
+            SCOPED_TRACE(std::string(m.name) + " framing " +
+                         std::to_string(static_cast<int>(fr)));
+            CompressEngine reused(cfg_);
+            (void)reused.run(makeCrb(m.func, fr, in.first.size(),
+                                     in.first.size() * 2),
+                             in.first, m.dht);
+            auto crb = makeCrb(m.func, fr, in.second.size(),
+                               in.second.size() * 2);
+            auto a = reused.run(crb, in.second, m.dht);
+            auto b = CompressEngine(cfg_).run(crb, in.second, m.dht);
+            ASSERT_EQ(a.csb.cc, CondCode::Success);
+            EXPECT_EQ(a.output, b.output);
+            expectSameCsb(a.csb, b.csb);
+            EXPECT_EQ(a.timing.dispatch, b.timing.dispatch);
+            EXPECT_EQ(a.timing.dmaIn, b.timing.dmaIn);
+            EXPECT_EQ(a.timing.dhtGen, b.timing.dhtGen);
+            EXPECT_EQ(a.timing.match, b.timing.match);
+            EXPECT_EQ(a.timing.encode, b.timing.encode);
+            EXPECT_EQ(a.timing.dmaOut, b.timing.dmaOut);
+            EXPECT_EQ(a.timing.completion, b.timing.completion);
+            expectSameMatch(a.matchInfo, b.matchInfo);
+        }
+    }
+}
+
+TEST_F(DecompressEngineTest, ReusedEngineMatchesFreshEngine)
+{
+    const ReuseInputs in;
+    // Multi-block software streams: each dynamic block loads tables.
+    const auto raw1 = deflate::deflateCompress(in.first).bytes;
+    const auto raw2 = deflate::deflateCompress(in.second).bytes;
+    for (Framing fr : {Framing::Raw, Framing::Gzip, Framing::Zlib}) {
+        SCOPED_TRACE("framing " + std::to_string(static_cast<int>(fr)));
+        auto frame = [fr](const std::vector<uint8_t> &raw,
+                          const std::vector<uint8_t> &orig) {
+            switch (fr) {
+              case Framing::Gzip: return deflate::gzipWrap(raw, orig);
+              case Framing::Zlib: return deflate::zlibWrap(raw, orig);
+              case Framing::Raw: break;
+            }
+            return raw;
+        };
+        const auto s1 = frame(raw1, in.first);
+        const auto s2 = frame(raw2, in.second);
+        DecompressEngine reused(cfg_);
+        (void)reused.run(makeCrb(FuncCode::Decompress, fr, s1.size(),
+                                 in.first.size()),
+                         s1);
+        auto crb = makeCrb(FuncCode::Decompress, fr, s2.size(),
+                           in.second.size());
+        auto a = reused.run(crb, s2);
+        auto b = DecompressEngine(cfg_).run(crb, s2);
+        ASSERT_EQ(a.csb.cc, CondCode::Success);
+        EXPECT_EQ(a.output, in.second);
+        EXPECT_EQ(a.output, b.output);
+        expectSameCsb(a.csb, b.csb);
+        EXPECT_EQ(a.timing.dispatch, b.timing.dispatch);
+        EXPECT_EQ(a.timing.dmaIn, b.timing.dmaIn);
+        EXPECT_EQ(a.timing.tableLoads, b.timing.tableLoads);
+        EXPECT_EQ(a.timing.decode, b.timing.decode);
+        EXPECT_EQ(a.timing.copyOut, b.timing.copyOut);
+        EXPECT_EQ(a.timing.dmaOut, b.timing.dmaOut);
+        EXPECT_EQ(a.timing.completion, b.timing.completion);
+    }
+}
+
+TEST(MatchPipelineReuse, ReusedPipelineMatchesFreshPipeline)
+{
+    const ReuseInputs in;
+    const NxConfig cfg = NxConfig::power9();
+    nx::MatchPipeline reused(cfg);
+    (void)reused.run(in.first);
+    expectSameMatch(reused.run(in.second),
+                    nx::MatchPipeline(cfg).run(in.second));
 }

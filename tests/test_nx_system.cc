@@ -187,6 +187,14 @@ TEST_F(VasSimTest, OpenArrivalDeterministicForSeed)
     EXPECT_DOUBLE_EQ(a.meanLatencyCycles, b.meanLatencyCycles);
 }
 
+TEST(VasSimDeathTest, OpenArrivalNeedsARate)
+{
+    VasSimConfig cfg;
+    cfg.chip = NxConfig::power9();
+    cfg.openArrival = true;    // arrivalsPerSec left at its 0 default
+    EXPECT_DEATH((void)simulateChip(cfg), "positive arrivalsPerSec");
+}
+
 TEST(PageFaultModel, NoFaultsNoSlowdown)
 {
     FaultModelConfig cfg;

@@ -5,7 +5,7 @@
  * The session layer is only trustworthy if its routing is *provably*
  * transparent: whatever the policy decides, the bytes the caller gets
  * must be exactly what the chosen backend's direct API would have
- * produced. Four families:
+ * produced. Five families:
  *
  *  - differential: for every (format x backend x size-straddling-the-
  *    threshold) cell, Session output is bit-identical to the direct
@@ -17,6 +17,8 @@
  *  - fault injection: busy exhaustion, closed windows, retryable and
  *    terminal device faults all complete the request correctly in
  *    software and are counted;
+ *  - output cap: maxOutputBytes bounds every decompress on both routes,
+ *    and a cap past what one DDE describes still runs on the device;
  *  - lifecycle: close semantics and the configure-before-use contract
  *    (death tests).
  *
@@ -26,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/device.h"
@@ -467,6 +470,82 @@ TEST(SessionFaults, CorruptStreamFailsOnBothPaths)
     // BadData is terminal on the device, then software also rejects.
     EXPECT_TRUE(res.fellBack);
     sess.close();
+}
+
+// ---------------------------------------------------------------------------
+// Output cap.
+// ---------------------------------------------------------------------------
+
+TEST(SessionOutputCap, OneByteOverTheCapFailsOnBothRoutes)
+{
+    constexpr uint64_t kCap = 5000;
+    const auto atCap = workloads::makeText(kCap, 22);
+    const auto overCap = workloads::makeText(kCap + 1, 22);
+    for (SessionFormat f : {SessionFormat::Gzip, SessionFormat::Zlib,
+                            SessionFormat::RawDeflate}) {
+        for (bool software : {false, true}) {
+            SCOPED_TRACE(testing::Message() << toString(f)
+                         << (software ? " forceSoftware" : " device"));
+            auto pol = basePolicy(f);
+            pol.accelThresholdBytes = 0;
+            pol.forceSoftware = software;
+            pol.maxOutputBytes = kCap;
+            Session sess(testChip(), pol);
+
+            auto at = sess.decompress(swCompress(f, 6, atCap));
+            ASSERT_TRUE(at.ok) << at.error;
+            EXPECT_EQ(at.data, atCap);
+            EXPECT_EQ(at.backend, software ? Backend::Software
+                                           : Backend::Accelerator);
+
+            auto over = sess.decompress(swCompress(f, 6, overCap));
+            EXPECT_FALSE(over.ok);
+            EXPECT_TRUE(over.data.empty());
+            EXPECT_NE(over.error.find("OutputOverflow"), std::string::npos)
+                << over.error;
+            // The device reports the overflow; the software leg then
+            // refuses under the same cap.
+            EXPECT_EQ(over.fellBack, !software);
+            sess.close();
+        }
+    }
+}
+
+TEST(SessionOutputCap, SoftwareCodecReportsOutputOverflow)
+{
+    auto payload = workloads::makeText(5000, 23);
+    core::SoftwareCodec codec;
+    for (nx::Framing fr : {nx::Framing::Gzip, nx::Framing::Zlib,
+                           nx::Framing::Raw}) {
+        SCOPED_TRACE(testing::Message() << "framing "
+                     << static_cast<int>(fr));
+        auto stream = codec.compress(payload, fr).data;
+        auto over = codec.decompress(stream, fr, payload.size() - 1);
+        EXPECT_EQ(over.csb.cc, nx::CondCode::OutputOverflow);
+        EXPECT_TRUE(over.data.empty());
+        auto at = codec.decompress(stream, fr, payload.size());
+        ASSERT_TRUE(at.ok());
+        EXPECT_EQ(at.data, payload);
+    }
+}
+
+TEST(SessionOutputCap, CapPastOneDdeStillRunsOnTheDevice)
+{
+    auto payload = workloads::makeText(8192, 24);
+    auto stream = swCompress(SessionFormat::Gzip, 6, payload);
+    for (uint64_t cap : {uint64_t{1} << 33, UINT64_MAX}) {
+        SCOPED_TRACE(testing::Message() << "cap " << cap);
+        auto pol = basePolicy(SessionFormat::Gzip);
+        pol.accelThresholdBytes = 0;
+        pol.maxOutputBytes = cap;
+        Session sess(testChip(), pol);
+        auto res = sess.decompress(stream);
+        ASSERT_TRUE(res.ok) << res.error;
+        EXPECT_EQ(res.backend, Backend::Accelerator);
+        EXPECT_FALSE(res.fellBack);
+        EXPECT_EQ(res.data, payload);
+        sess.close();
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -169,13 +169,3 @@ TEST(DmaPort, StartupDominatesSmallTransfers)
     EXPECT_GE(t, 1000u);
     EXPECT_LE(t, 1010u);
 }
-
-TEST(DmaPort, StatsAccumulate)
-{
-    DmaPort port{DmaParams{}};
-    port.recordTransfer(4096);
-    port.recordTransfer(4096);
-    EXPECT_EQ(port.stats().get("transfers"), 2u);
-    EXPECT_EQ(port.stats().get("bytes"), 8192u);
-    EXPECT_GT(port.stats().get("cycles"), 0u);
-}

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for RunningStat, Percentiles, StatSet and the
+ * Unit tests for RunningStat, Percentiles and the
  * LatencyRecorder snapshot (including the p999 tail percentile the
  * serving SLO report keys on).
  */
@@ -13,7 +13,6 @@
 
 using util::Percentiles;
 using util::RunningStat;
-using util::StatSet;
 
 TEST(RunningStat, EmptyIsZero)
 {
@@ -59,28 +58,6 @@ TEST(Percentiles, EmptyReturnsZero)
 {
     Percentiles p;
     EXPECT_DOUBLE_EQ(p.percentile(50), 0.0);
-}
-
-TEST(StatSet, IncrementAndGet)
-{
-    StatSet s;
-    EXPECT_EQ(s.get("missing"), 0u);
-    s.inc("cycles");
-    s.inc("cycles", 9);
-    EXPECT_EQ(s.get("cycles"), 10u);
-    s.set("cycles", 3);
-    EXPECT_EQ(s.get("cycles"), 3u);
-}
-
-TEST(StatSet, DumpIsSortedAndPrefixed)
-{
-    StatSet s;
-    s.inc("b", 2);
-    s.inc("a", 1);
-    std::string d = s.dump("eng0");
-    EXPECT_NE(d.find("eng0.a = 1"), std::string::npos);
-    EXPECT_NE(d.find("eng0.b = 2"), std::string::npos);
-    EXPECT_LT(d.find("eng0.a"), d.find("eng0.b"));
 }
 
 TEST(Table, RendersHeaderAndRows)
