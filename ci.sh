@@ -27,8 +27,10 @@
 #                      src/core/job_server.cc,
 #                      src/deflate/inflate_stream.cc,
 #                      src/deflate/deflate_stream.cc,
-#                      src/deflate/lz77.cc and src/deflate/huffman.cc
-#                      against tools/coverage_baseline.txt
+#                      src/deflate/lz77.cc, src/deflate/huffman.cc,
+#                      src/deflate/gzip_stream.cc and
+#                      src/deflate/zlib_stream.cc against
+#                      tools/coverage_baseline.txt
 #  10. clang-tsa       Clang -Wthread-safety over the lock annotations
 #                      (src/util/thread_annotations.h); skipped with a
 #                      notice when clang++ is absent

@@ -73,11 +73,29 @@ fuzzInflate(std::span<const uint8_t> data)
 int
 fuzzGzip(std::span<const uint8_t> data)
 {
-    (void)deflate::gzipUnwrap(data);
-    (void)deflate::gzipUnwrapAll(data);
-    (void)deflate::zlibUnwrap(data);
+    auto one = deflate::gzipUnwrap(data, kMaxOutput);
+    (void)deflate::zlibUnwrap(data, kMaxOutput);
     static const std::vector<uint8_t> dict = {'f', 'u', 'z', 'z'};
-    (void)deflate::zlibUnwrapWithDict(data, dict);
+    (void)deflate::zlibUnwrap(data, kMaxOutput, dict);
+
+    // Concatenation: a gzip file followed by itself is a gzip file of
+    // twice the members, twice the output and the combined CRC-32.
+    if (one.ok) {
+        std::vector<uint8_t> twice(data.begin(), data.end());
+        twice.insert(twice.end(), data.begin(), data.end());
+        auto two = deflate::gzipUnwrap(twice, 2 * kMaxOutput);
+        std::vector<uint8_t> want(one.inflate.bytes);
+        want.insert(want.end(), one.inflate.bytes.begin(),
+                    one.inflate.bytes.end());
+        FUZZ_CHECK(two.ok, "a gzip file followed by itself fails");
+        FUZZ_CHECK(two.memberEnds.size() == 2 * one.memberEnds.size(),
+                   "doubled gzip file has the wrong member count");
+        FUZZ_CHECK(two.inflate.bytes == want,
+                   "doubled gzip file is not the output twice");
+        FUZZ_CHECK(two.crc == util::crc32Combine(
+                                  one.crc, one.crc, one.inflate.bytes.size()),
+                   "doubled gzip file's CRC-32 is not the combined one");
+    }
     return 0;
 }
 

@@ -86,8 +86,12 @@ main(int argc, char **argv)
          deflateAt(std::span<const uint8_t>{}, 6));
 
     // --- gzip: container framing, gzip and zlib --------------------
-    save(root / "gzip", "basic.gz", deflate::gzipWrap(
-        deflateAt(text, 6), text, "seed.txt"));
+    {
+        deflate::GzipWriteOptions w;
+        w.name = "seed.txt";
+        save(root / "gzip", "basic.gz", deflate::gzipWrap(
+            deflateAt(text, 6), text, w));
+    }
     {
         deflate::GzipWriteOptions w;
         w.name = "n.bin";
@@ -95,19 +99,19 @@ main(int argc, char **argv)
         w.extra = {0x01, 0x02, 0x03, 0x04};
         w.headerCrc = true;
         w.mtime = 0x5f000000;
-        save(root / "gzip", "all-fields.gz", deflate::gzipWrapEx(
+        save(root / "gzip", "all-fields.gz", deflate::gzipWrap(
             deflateAt(log, 6), log, w));
     }
     {
-        auto m1 = deflate::gzipWrap(deflateAt(text, 6), text, "");
-        auto m2 = deflate::gzipWrap(deflateAt(bin, 1), bin, "");
+        auto m1 = deflate::gzipWrap(deflateAt(text, 6), text);
+        auto m2 = deflate::gzipWrap(deflateAt(bin, 1), bin);
         m1.insert(m1.end(), m2.begin(), m2.end());
         save(root / "gzip", "two-members.gz", m1);
     }
     save(root / "gzip", "stream.zlib",
          deflate::zlibWrap(deflateAt(json, 6), json));
     save(root / "gzip", "tiny.gz", deflate::gzipWrap(
-        deflateAt(std::span<const uint8_t>{}, 6), {}, ""));
+        deflateAt(std::span<const uint8_t>{}, 6), {}));
 
     // --- e842: streams from every opcode family --------------------
     save(root / "e842", "text.842", e842::compress(text).bytes);

@@ -4,10 +4,7 @@
 #include <chrono>
 
 #include "deflate/deflate_encoder.h"
-#include "deflate/gzip_stream.h"
-#include "deflate/inflate_decoder.h"
-#include "deflate/zlib_stream.h"
-#include "util/crc32.h"
+#include "deflate/framing.h"
 #include "util/checked.h"
 
 namespace core {
@@ -117,26 +114,16 @@ SoftwareCodec::compress(std::span<const uint8_t> source,
     auto t0 = Clock::now();
     deflate::DeflateOptions opts;
     opts.level = level_;
-    auto res = deflate::deflateCompress(source, opts);
-    switch (framing) {
-      case nx::Framing::Raw:
-        out.data = std::move(res.bytes);
-        out.csb.checksum = util::crc32(source);
-        break;
-      case nx::Framing::Gzip:
-        out.data = deflate::gzipWrap(res.bytes, source);
-        out.csb.checksum = deflate::gzipTrailerCrc(out.data);
-        break;
-      case nx::Framing::Zlib:
-        out.data = deflate::zlibWrap(res.bytes, source, level_);
-        out.csb.checksum = deflate::zlibTrailerAdler(out.data);
-        break;
-    }
+    auto framed = deflate::wrap(framing,
+                                deflate::deflateCompress(source, opts).bytes,
+                                source, level_);
     out.seconds = secondsSince(t0);
     out.csb.cc = nx::CondCode::Success;
     out.csb.valid = true;
     out.csb.processedBytes = source.size();
-    out.csb.producedBytes = out.data.size();
+    out.csb.producedBytes = framed.bytes.size();
+    out.csb.checksum = framed.checksum;
+    out.data = std::move(framed.bytes);
     return out;
 }
 
@@ -146,38 +133,20 @@ SoftwareCodec::decompress(std::span<const uint8_t> stream,
 {
     JobResult out;
     auto t0 = Clock::now();
-    const auto cap = nx::checked_cast<size_t>(max_output);
-    deflate::InflateResult inf;
-    bool ok = false;
-    switch (framing) {
-      case nx::Framing::Raw:
-        inf = deflate::inflateDecompress(stream, cap);
-        ok = inf.ok();
-        break;
-      case nx::Framing::Gzip: {
-        auto res = deflate::gzipUnwrap(stream, cap);
-        ok = res.ok;
-        inf = std::move(res.inflate);
-        break;
-      }
-      case nx::Framing::Zlib: {
-        auto res = deflate::zlibUnwrap(stream, cap);
-        ok = res.ok;
-        inf = std::move(res.inflate);
-        break;
-      }
-    }
+    auto res = deflate::unwrap(framing, stream,
+                               nx::checked_cast<size_t>(max_output));
     out.csb.valid = true;
-    if (!ok) {
-        out.csb.cc = inf.status == deflate::InflateStatus::OutputLimit
+    if (!res.ok) {
+        out.csb.cc = res.inflate.status == deflate::InflateStatus::OutputLimit
             ? nx::CondCode::OutputOverflow : nx::CondCode::BadData;
         return out;
     }
     out.seconds = secondsSince(t0);
     out.csb.cc = nx::CondCode::Success;
     out.csb.processedBytes = stream.size();
-    out.csb.producedBytes = inf.bytes.size();
-    out.data = std::move(inf.bytes);
+    out.csb.producedBytes = res.inflate.bytes.size();
+    out.csb.checksum = res.checksum;
+    out.data = std::move(res.inflate.bytes);
     return out;
 }
 

@@ -49,7 +49,7 @@ faultedResult(nx::CondCode cc)
 } // namespace
 
 JobServer::JobServer(const nx::NxConfig &cfg, const JobServerConfig &jcfg)
-    : cfg_(cfg), jcfg_(jcfg)
+    : cfg_(cfg), jcfg_(jcfg), e842_(jcfg.e842)
 {
     NXSIM_EXPECT(jcfg_.windows > 0, "job server needs >= 1 window");
     int workers = jcfg_.workers;
@@ -64,11 +64,9 @@ JobServer::JobServer(const nx::NxConfig &cfg, const JobServerConfig &jcfg)
     size_t nw = nx::checked_cast<size_t>(workers);
     comp_.reserve(nw);
     decomp_.reserve(nw);
-    e842_.reserve(nw);
     for (size_t i = 0; i < nw; ++i) {
         comp_.push_back(std::make_unique<nx::CompressEngine>(cfg_));
         decomp_.push_back(std::make_unique<nx::DecompressEngine>(cfg_));
-        e842_.push_back(std::make_unique<e842::E842Engine>(jcfg_.e842));
     }
     workerCycles_.assign(nw, 0);
     fifo_.resize(nx::checked_cast<size_t>(jcfg_.windows));
@@ -206,7 +204,7 @@ JobServer::workerLoop(int w)
             r = faultedResult(injectedCc);
             injected = true;
         } else if (p.spec.codec == Codec::E842) {
-            r = runE842Job(*e842_[wi], p.spec);
+            r = runE842Job(e842_, p.spec);
         } else {
             r = p.spec.kind == JobKind::Compress
                 ? runCompressJob(*comp_[wi], cfg_, p.spec.payload,

@@ -27,9 +27,10 @@
  * - Per-window FIFO order is a hard guarantee: jobs pasted into one
  *   window are dispatched to engines in paste order (completions may
  *   reorder across windows/engines, as on hardware).
- * - Each worker also owns a modelled 842 engine: a JobSpec selects its
- *   engine family per CRB (Codec::Deflate / Codec::E842), the way one
- *   VAS window serves both engine types on the real unit.
+ * - Each worker also runs 842 jobs, on the one stateless 842 engine
+ *   model all workers share: a JobSpec selects its engine family per
+ *   CRB (Codec::Deflate / Codec::E842), the way one VAS window serves
+ *   both engine types on the real unit.
  * - An optional nx::FaultInjector hook (JobServerConfig::faultInjector)
  *   makes engine-reported failures injectable: a tripped job completes
  *   with the injected CSB condition code and no output, and is counted
@@ -161,7 +162,7 @@ struct JobServerConfig
      */
     bool startPaused = false;
 
-    /** 842 engine parameters (one engine per worker, like DEFLATE). */
+    /** 842 engine parameters (every worker runs 842 jobs, like DEFLATE). */
     e842::E842EngineConfig e842;
 
     /**
@@ -313,7 +314,9 @@ class JobServer
     // touched only by worker thread k, so the pool needs no lock.
     std::vector<std::unique_ptr<nx::CompressEngine>> comp_;
     std::vector<std::unique_ptr<nx::DecompressEngine>> decomp_;
-    std::vector<std::unique_ptr<e842::E842Engine>> e842_;
+    /// The 842 engine keeps no state between jobs: every worker runs
+    /// its const methods on this one.
+    const e842::E842Engine e842_;
     std::vector<std::thread> workers_;
 
     mutable nx::Mutex mu_;

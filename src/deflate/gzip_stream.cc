@@ -1,8 +1,8 @@
 #include "deflate/gzip_stream.h"
 
+#include "deflate/inflate_stream.h"
 #include "util/crc32.h"
 #include "util/checked.h"
-#include "util/contracts.h"
 #include "util/taint.h"
 
 namespace deflate {
@@ -23,21 +23,86 @@ readLe32(std::span<const uint8_t> bytes, size_t p)
         (nx::checked_cast<uint32_t>(bytes[p + 2]) << 16) |
         (nx::checked_cast<uint32_t>(bytes[p + 3]) << 24);
 }
+
+/**
+ * Parse the header that starts @p member into @p h. Returns where the
+ * payload starts, or 0 with @p error set.
+ */
+size_t
+readHeader(NXSIM_UNTRUSTED std::span<const uint8_t> member, GzipHeader &h,
+           std::string &error)
+{
+    if (member.size() < 18) {
+        error = "member too short";
+        return 0;
+    }
+    if (member[0] != kId1 || member[1] != kId2) {
+        error = "bad magic";
+        return 0;
+    }
+    if (member[2] != kCmDeflate) {
+        error = "unsupported compression method";
+        return 0;
+    }
+    uint8_t flg = member[3];
+    h.flags = flg;
+    h.mtime = readLe32(member, 4);
+
+    size_t pos = 10;
+    if (flg & 0x04) {    // FEXTRA
+        if (pos + 2 > member.size()) {
+            error = "truncated FEXTRA";
+            return 0;
+        }
+        size_t xlen = static_cast<size_t>(member[pos]) |
+            (static_cast<size_t>(member[pos + 1]) << 8);
+        pos += 2;
+        if (pos + xlen > member.size()) {
+            error = "truncated FEXTRA";
+            return 0;
+        }
+        h.extra.assign(member.begin() + static_cast<long>(pos),
+                       member.begin() + static_cast<long>(pos + xlen));
+        pos += xlen;
+    }
+    if (flg & kFlagName) {
+        while (pos < member.size() && member[pos] != 0)
+            h.name.push_back(nx::truncate_cast<char>(member[pos++]));
+        ++pos;    // NUL
+    }
+    if (flg & 0x10) {    // FCOMMENT
+        while (pos < member.size() && member[pos] != 0)
+            h.comment.push_back(nx::truncate_cast<char>(member[pos++]));
+        ++pos;
+    }
+    if (flg & 0x02) {    // FHCRC
+        h.hcrcPresent = true;
+        if (pos + 2 > member.size()) {
+            error = "truncated FHCRC";
+            return 0;
+        }
+        uint16_t want = nx::checked_cast<uint16_t>(
+            member[pos] | (member[pos + 1] << 8));
+        uint16_t got = nx::checked_cast<uint16_t>(
+            util::crc32(member.subspan(0, pos)) & 0xffff);
+        h.hcrcValid = want == got;
+        pos += 2;
+        if (!h.hcrcValid) {
+            error = "header CRC mismatch";
+            return 0;
+        }
+    }
+    if (pos + 8 > member.size()) {
+        error = "truncated member";
+        return 0;
+    }
+    return pos;
+}
 } // namespace
 
 std::vector<uint8_t>
 gzipWrap(std::span<const uint8_t> deflate_stream,
-         std::span<const uint8_t> original, const std::string &name)
-{
-    GzipWriteOptions opts;
-    opts.name = name;
-    return gzipWrapEx(deflate_stream, original, opts);
-}
-
-std::vector<uint8_t>
-gzipWrapEx(std::span<const uint8_t> deflate_stream,
-           std::span<const uint8_t> original,
-           const GzipWriteOptions &opts)
+         std::span<const uint8_t> original, const GzipWriteOptions &opts)
 {
     std::vector<uint8_t> out;
     out.reserve(deflate_stream.size() + 24 + opts.name.size() +
@@ -94,138 +159,57 @@ gzipWrapEx(std::span<const uint8_t> deflate_stream,
     return out;
 }
 
-uint32_t
-gzipTrailerCrc(std::span<const uint8_t> member)
-{
-    NXSIM_EXPECT(member.size() >= 18, "a whole gzip member");
-    return readLe32(member, member.size() - 8);
-}
-
 GzipUnwrapResult
-gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member,
-           size_t max_output)
+gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> file, size_t max_output)
 {
     GzipUnwrapResult res;
-    if (member.size() < 18) {
-        res.error = "member too short";
-        return res;
-    }
-    if (member[0] != kId1 || member[1] != kId2) {
-        res.error = "bad magic";
-        return res;
-    }
-    if (member[2] != kCmDeflate) {
-        res.error = "unsupported compression method";
-        return res;
-    }
-    uint8_t flg = member[3];
-    res.header.flags = flg;
-    res.header.mtime = nx::checked_cast<uint32_t>(member[4]) |
-        (nx::checked_cast<uint32_t>(member[5]) << 8) |
-        (nx::checked_cast<uint32_t>(member[6]) << 16) |
-        (nx::checked_cast<uint32_t>(member[7]) << 24);
+    std::vector<uint8_t> &out = res.inflate.bytes;
+    size_t off = 0;
+    do {
+        auto member = file.subspan(off);
+        GzipHeader later;
+        size_t pos = readHeader(member,
+                                off == 0 ? res.header : later, res.error);
+        if (pos == 0)
+            return res;
 
-    size_t pos = 10;
-    if (flg & 0x04) {    // FEXTRA
-        if (pos + 2 > member.size()) {
-            res.error = "truncated FEXTRA";
+        // Each member is its own DEFLATE stream, inflated in place
+        // after the ones before it under what is left of the cap.
+        const size_t start = out.size();
+        InflateStream is({}, max_output - start);
+        if (is.feed(member.subspan(pos, member.size() - pos - 8), out,
+                    true) != StreamStatus::Done) {
+            res.inflate.status = is.error();
+            res.error = std::string("inflate: ") + toString(is.error());
             return res;
         }
-        size_t xlen = static_cast<size_t>(member[pos]) |
-            (static_cast<size_t>(member[pos + 1]) << 8);
-        pos += 2;
-        if (pos + xlen > member.size()) {
-            res.error = "truncated FEXTRA";
-            return res;
-        }
-        res.header.extra.assign(member.begin() + static_cast<long>(pos),
-                                member.begin() +
-                                    static_cast<long>(pos + xlen));
-        pos += xlen;
-    }
-    if (flg & kFlagName) {
-        while (pos < member.size() && member[pos] != 0)
-            res.header.name.push_back(nx::truncate_cast<char>(member[pos++]));
-        ++pos;    // NUL
-    }
-    if (flg & 0x10) {    // FCOMMENT
-        while (pos < member.size() && member[pos] != 0)
-            res.header.comment.push_back(
-                nx::truncate_cast<char>(member[pos++]));
-        ++pos;
-    }
-    if (flg & 0x02) {    // FHCRC
-        res.header.hcrcPresent = true;
-        if (pos + 2 > member.size()) {
-            res.error = "truncated FHCRC";
-            return res;
-        }
-        uint16_t want = nx::checked_cast<uint16_t>(
-            member[pos] | (member[pos + 1] << 8));
-        uint16_t got = nx::checked_cast<uint16_t>(
-            util::crc32(member.subspan(0, pos)) & 0xffff);
-        res.header.hcrcValid = want == got;
-        pos += 2;
-        if (!res.header.hcrcValid) {
-            res.error = "header CRC mismatch";
-            return res;
-        }
-    }
-    if (pos + 8 > member.size()) {
-        res.error = "truncated member";
-        return res;
-    }
+        res.inflate.stats += is.stats();
+        const size_t consumed = (is.stats().inputBits + 7) / 8;
+        res.inflate.consumedBytes += consumed;
 
-    res.inflate = inflateDecompress(member.subspan(pos,
-        member.size() - pos - 8), max_output);
-    if (!res.inflate.ok()) {
-        res.error = std::string("inflate: ") +
-            toString(res.inflate.status);
-        return res;
-    }
-
-    size_t tpos = pos + res.inflate.consumedBytes;
-    if (tpos + 8 > member.size()) {
-        res.error = "trailer overlaps payload";
-        return res;
-    }
-    res.crc = readLe32(member, tpos);
-    uint32_t isize = readLe32(member, tpos + 4);
-    if (res.crc != util::crc32(res.inflate.bytes)) {
-        res.error = "CRC mismatch";
-        return res;
-    }
-    if (isize != nx::truncate_cast<uint32_t>(res.inflate.bytes.size())) {
-        res.error = "ISIZE mismatch";
-        return res;
-    }
-    res.memberBytes = tpos + 8;
+        size_t tpos = pos + consumed;
+        if (tpos + 8 > member.size()) {
+            res.error = "trailer overlaps payload";
+            return res;
+        }
+        uint32_t crc = readLe32(member, tpos);
+        uint32_t isize = readLe32(member, tpos + 4);
+        auto payload = std::span<const uint8_t>(out).subspan(start);
+        if (crc != util::crc32(payload)) {
+            res.error = "CRC mismatch";
+            return res;
+        }
+        if (isize != nx::truncate_cast<uint32_t>(payload.size())) {
+            res.error = "ISIZE mismatch";
+            return res;
+        }
+        res.crc = off == 0 ? crc
+                           : util::crc32Combine(res.crc, crc, payload.size());
+        off += tpos + 8;
+        res.memberEnds.push_back(off);
+    } while (off < file.size());
     res.ok = true;
     return res;
-}
-
-GzipFileResult
-gzipUnwrapAll(NXSIM_UNTRUSTED std::span<const uint8_t> file)
-{
-    GzipFileResult out;
-    size_t off = 0;
-    while (off < file.size()) {
-        auto res = gzipUnwrap(file.subspan(off));
-        if (!res.ok) {
-            out.error = res.error;
-            return out;
-        }
-        out.bytes.insert(out.bytes.end(), res.inflate.bytes.begin(),
-                         res.inflate.bytes.end());
-        ++out.members;
-        off += res.memberBytes;
-    }
-    if (out.members == 0) {
-        out.error = "empty file";
-        return out;
-    }
-    out.ok = true;
-    return out;
 }
 
 } // namespace deflate

@@ -1,17 +1,17 @@
 /**
  * @file
  * gzip (RFC 1952) container framing around raw DEFLATE: 10-byte header,
- * optional name field, CRC-32 + ISIZE trailer. This is the wire format
- * both the software path and the accelerator path produce, and what the
- * POWER9/z15 accelerators accept natively (gzip/zlib/raw selectable in
- * the CRB function code).
+ * optional header fields, CRC-32 + ISIZE trailer. A gzip file is a
+ * series of such members; gzipWrap() writes one, gzipUnwrap() reads
+ * them all. This is the wire format both the software path and the
+ * accelerator path produce, and what the POWER9/z15 accelerators
+ * accept natively (gzip/zlib/raw selectable in the CRB function code).
  */
 
 #ifndef NXSIM_DEFLATE_GZIP_STREAM_H
 #define NXSIM_DEFLATE_GZIP_STREAM_H
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,7 +33,7 @@ struct GzipHeader
     bool hcrcValid = false;
 };
 
-/** Header options for gzipWrapEx (full RFC 1952 field support). */
+/** Header fields gzipWrap() writes; the defaults give a bare header. */
 struct GzipWriteOptions
 {
     std::string name;
@@ -43,60 +43,41 @@ struct GzipWriteOptions
     bool headerCrc = false;        ///< emit FHCRC
 };
 
-/** Wrap a raw DEFLATE stream in a gzip member. */
+/** Wrap a raw DEFLATE stream in one gzip member. */
 std::vector<uint8_t> gzipWrap(std::span<const uint8_t> deflate_stream,
                               std::span<const uint8_t> original,
-                              const std::string &name = {});
+                              const GzipWriteOptions &opts = {});
 
-/** Wrap with full header-field control. */
-std::vector<uint8_t> gzipWrapEx(std::span<const uint8_t> deflate_stream,
-                                std::span<const uint8_t> original,
-                                const GzipWriteOptions &opts);
-
-/**
- * The CRC-32 field of the trailer that ends @p member, a whole member
- * as gzipWrap() returns it: the wrap's checksum without recomputing it.
- */
-uint32_t gzipTrailerCrc(std::span<const uint8_t> member);
-
-/** Result of unwrapping a gzip member. */
+/** Result of reading a gzip file: every member, in order. */
 struct GzipUnwrapResult
 {
     bool ok = false;
     std::string error;
-    GzipHeader header;
+    GzipHeader header;           ///< the first member's
+    /** The members' payloads, concatenated; stats summed over members. */
     InflateResult inflate;
-    /** Trailer CRC-32; when ok, verified equal to crc32(inflate.bytes). */
+    /**
+     * CRC-32 of inflate.bytes when ok: one member's trailer CRC, or the
+     * members' CRCs combined (util::crc32Combine).
+     */
     uint32_t crc = 0;
-    /** Total bytes of this member (header + payload + trailer). */
-    size_t memberBytes = 0;
+    /** Where each member ends in the input; the last is its size. */
+    std::vector<size_t> memberEnds;
 };
 
 /**
- * Parse the header, inflate the payload, verify CRC-32 and ISIZE.
+ * Read a gzip file as a series of members (RFC 1952 section 2.2, the
+ * `cat a.gz b.gz` form gunzip accepts): parse each header, inflate
+ * each payload, verify each CRC-32 and ISIZE. Bytes after a member
+ * that do not begin a valid member fail the read.
  *
- * @param max_output cap on the inflated size; a larger payload fails
- *                   with InflateStatus::OutputLimit in `inflate.status`
+ * @param max_output cap on the members' total inflated size; a larger
+ *                   file fails with InflateStatus::OutputLimit in
+ *                   `inflate.status`
  */
 [[nodiscard]] GzipUnwrapResult
-gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member,
+gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> file,
            size_t max_output = size_t{1} << 30);
-
-/** Result of unwrapping a whole (possibly multi-member) gzip file. */
-struct GzipFileResult
-{
-    bool ok = false;
-    std::string error;
-    std::vector<uint8_t> bytes;      ///< concatenated payloads
-    size_t members = 0;
-};
-
-/**
- * Decode a gzip file that may contain several concatenated members
- * (the `cat a.gz b.gz` form gunzip accepts).
- */
-[[nodiscard]] GzipFileResult
-gzipUnwrapAll(NXSIM_UNTRUSTED std::span<const uint8_t> file);
 
 } // namespace deflate
 

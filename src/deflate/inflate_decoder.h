@@ -50,6 +50,20 @@ struct InflateStats
     uint64_t inputBits = 0;
 
     uint64_t symbols() const { return literals + matches; }
+
+    /** Add @p o's counts: the stats of two streams decoded in turn. */
+    InflateStats &
+    operator+=(const InflateStats &o)
+    {
+        storedBlocks += o.storedBlocks;
+        fixedBlocks += o.fixedBlocks;
+        dynamicBlocks += o.dynamicBlocks;
+        literals += o.literals;
+        matches += o.matches;
+        matchedBytes += o.matchedBytes;
+        inputBits += o.inputBits;
+        return *this;
+    }
 };
 
 /** Result of inflating a raw DEFLATE stream. */

@@ -1,7 +1,9 @@
 /**
  * @file
- * zlib (RFC 1950) container framing: 2-byte CMF/FLG header and Adler-32
- * trailer around a raw DEFLATE stream.
+ * zlib (RFC 1950) container framing: 2-byte CMF/FLG header (then
+ * DICTID with a preset dictionary) and Adler-32 trailer around a raw
+ * DEFLATE stream. zlibWrap() writes it and zlibUnwrap() reads it, with
+ * or without a dictionary.
  */
 
 #ifndef NXSIM_DEFLATE_ZLIB_STREAM_H
@@ -17,16 +19,18 @@
 
 namespace deflate {
 
-/** Wrap a raw DEFLATE stream in a zlib container. */
+/**
+ * Wrap a raw DEFLATE stream in a zlib container. A non-empty @p dict
+ * sets FDICT (RFC 1950 preset dictionary): the header carries
+ * DICTID = Adler-32 of @p dict, and the payload must have been produced
+ * by deflateCompressWithDict(original, dict).
+ *
+ * @param level the compression level the header's FLEVEL reports
+ */
 std::vector<uint8_t> zlibWrap(std::span<const uint8_t> deflate_stream,
                               std::span<const uint8_t> original,
-                              int level = 6);
-
-/**
- * The Adler-32 field of the trailer that ends @p stream, a whole stream
- * as zlibWrap() returns it: the wrap's checksum without recomputing it.
- */
-uint32_t zlibTrailerAdler(std::span<const uint8_t> stream);
+                              int level = 6,
+                              std::span<const uint8_t> dict = {});
 
 /** Result of unwrapping a zlib stream. */
 struct ZlibUnwrapResult
@@ -39,33 +43,17 @@ struct ZlibUnwrapResult
 };
 
 /**
- * Parse header, inflate, verify Adler-32.
+ * Parse the header, inflate, verify Adler-32. When the header sets
+ * FDICT, @p dict is checked against DICTID and is the inflate's
+ * history; a missing or mismatched dictionary fails.
  *
  * @param max_output cap on the inflated size; a larger payload fails
  *                   with InflateStatus::OutputLimit in `inflate.status`
  */
 [[nodiscard]] ZlibUnwrapResult
 zlibUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
-           size_t max_output = size_t{1} << 30);
-
-/**
- * Wrap a preset-dictionary stream (RFC 1950 FDICT): the header
- * carries DICTID = Adler-32 of @p dict, and the payload must have
- * been produced by deflateCompressWithDict(input, dict).
- */
-std::vector<uint8_t> zlibWrapWithDict(
-    std::span<const uint8_t> deflate_stream,
-    std::span<const uint8_t> original, std::span<const uint8_t> dict,
-    int level = 6);
-
-/**
- * Unwrap a possibly-FDICT stream. When the header demands a
- * dictionary, @p dict is checked against DICTID and used for the
- * inflate history; a mismatch or a missing dictionary fails.
- */
-[[nodiscard]] ZlibUnwrapResult
-zlibUnwrapWithDict(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
-                   std::span<const uint8_t> dict);
+           size_t max_output = size_t{1} << 30,
+           std::span<const uint8_t> dict = {});
 
 } // namespace deflate
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "deflate/gzip_stream.h"
-#include "deflate/zlib_stream.h"
+#include "deflate/framing.h"
 #include "util/bitstream.h"
-#include "util/crc32.h"
 #include "util/checked.h"
 
 namespace nx {
@@ -87,23 +85,10 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
 
     // Framing + checksums, computed inline with the data pipe (no extra
     // cycles beyond the streaming floor already counted).
-    std::vector<uint8_t> framed;
-    switch (crb.framing) {
-      case Framing::Raw:
-        framed = std::move(enc.bytes);
-        job.csb.checksum = util::crc32(source);
-        break;
-      case Framing::Gzip:
-        framed = deflate::gzipWrap(enc.bytes, source);
-        job.csb.checksum = deflate::gzipTrailerCrc(framed);
-        break;
-      case Framing::Zlib:
-        framed = deflate::zlibWrap(enc.bytes, source);
-        job.csb.checksum = deflate::zlibTrailerAdler(framed);
-        break;
-    }
+    auto framed = deflate::wrap(crb.framing, std::move(enc.bytes), source);
+    job.csb.checksum = framed.checksum;
 
-    if (framed.size() > crb.target.totalBytes()) {
+    if (framed.bytes.size() > crb.target.totalBytes()) {
         job.csb.cc = CondCode::OutputOverflow;
         job.csb.valid = true;
         job.csb.processedBytes = 0;
@@ -111,13 +96,13 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
         return job;
     }
 
-    job.timing.dmaOut = dmaOut_.transferCycles(framed.size());
+    job.timing.dmaOut = dmaOut_.transferCycles(framed.bytes.size());
 
     job.csb.cc = CondCode::Success;
     job.csb.valid = true;
     job.csb.processedBytes = source.size();
-    job.csb.producedBytes = framed.size();
-    job.output = std::move(framed);
+    job.csb.producedBytes = framed.bytes.size();
+    job.output = std::move(framed.bytes);
     return job;
 }
 

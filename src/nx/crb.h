@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "deflate/framing.h"
+
 namespace nx {
 
 /** Accelerator function codes. */
@@ -32,13 +34,8 @@ enum class FuncCode : uint8_t
     Wrap,            ///< stored blocks only (memcpy-with-framing)
 };
 
-/** Stream framing selected in the CRB. */
-enum class Framing : uint8_t
-{
-    Raw,     ///< raw DEFLATE
-    Gzip,    ///< RFC 1952 member
-    Zlib,    ///< RFC 1950 stream
-};
+/** Stream framing selected in the CRB (deflate/framing.h). */
+using deflate::Framing;
 
 /** CSB condition codes (subset that matters for the model). */
 enum class CondCode : uint8_t

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <cmath>
 
+#include "util/contracts.h"
+
 namespace util {
 
 /** xoshiro256** 1.0 — fast, high-quality, deterministic across platforms. */
@@ -86,10 +88,14 @@ class Xoshiro256
         return -mean * std::log(u);
     }
 
-    /** Zipf-like rank in [0, n): rank r with weight 1/(r+1)^s. */
+    /**
+     * Zipf-like rank in [0, n): rank r with weight 1/(r+1)^s. The
+     * sampler needs s > 1: at s = 1 every acceptance test is NaN.
+     */
     uint64_t
-    zipf(uint64_t n, double s = 1.0)
+    zipf(uint64_t n, double s)
     {
+        NXSIM_EXPECT(s > 1.0, "zipf exponent must exceed 1");
         // Inverse-CDF by linear scan over a truncated harmonic sum is too
         // slow for large n; use the standard rejection sampler instead.
         double b = std::pow(2.0, s - 1.0);

@@ -13,8 +13,8 @@
  * NXSIM_UNTRUSTED marks a parameter whose value — and, for buffers,
  * whose *contents* — arrive from outside the trust boundary:
  *
- *     GzipStatus gzipUnwrap(NXSIM_UNTRUSTED const std::vector<uint8_t> &member,
- *                           std::vector<uint8_t> &out);
+ *     GzipUnwrapResult gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> file,
+ *                                 size_t max_output);
  *
  * The macro expands to nothing: it is an annotation for the analyzer
  * (and the reader), not the compiler. Values loaded from an annotated

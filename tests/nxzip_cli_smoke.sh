@@ -7,7 +7,8 @@
 #     the input back (default, -m sw, -m fht, -m dht2, -c z15, -1, -9,
 #     -j 2);
 #  2. -j 2 splits a file over 1 MiB into several gzip members, gunzip
-#     reads them as one stream, and -d -j 2 inflates them back;
+#     reads them as one stream, and -d inflates every member back, with
+#     -j 2, in the default mode and with -m sw;
 #  3. a file under 4 KiB and an empty file stay on the software path,
 #     and a larger one takes the accelerator path;
 #  4. an unknown chip and -j with -m sw are usage errors (exit 2).
@@ -76,12 +77,25 @@ round_trip level1 "$tmp/text" -1
 round_trip level9 "$tmp/text" -9
 round_trip jobs "$tmp/text" -j 2
 
-# --- 2. -j 2 writes a multi-member file that -d -j 2 reads back. --
+# --- 2. -j 2 writes a multi-member file that -d reads back. -------
 round_trip multi "$tmp/big" -j 2
 members=$(sed -n 's/.*parallel x[0-9]*, \([0-9]*\) jobs.*/\1/p' \
     "$tmp/multi.log" | head -n 1)
 [ "${members:-0}" -gt 1 ] ||
     fail "-j 2 wrote ${members:-no} member(s) for a 2.6 MB input"
+# restore <name> [flags...]: -d without -j gives back every member.
+restore()
+{
+    name=$1
+    shift
+    "$nxzip" -d "$@" "$tmp/multi.gz" "$tmp/multi.$name" \
+        2>> "$tmp/multi.log" ||
+        fail "-d ($name) of the -j 2 file failed: $(cat "$tmp/multi.log")"
+    cmp -s "$tmp/big" "$tmp/multi.$name" ||
+        fail "-d ($name) did not restore every member of the -j 2 file"
+}
+restore default
+restore sw -m sw
 
 # --- 3. Routing by size. ------------------------------------------
 grep -q "accelerator path" "$tmp/default.log" ||

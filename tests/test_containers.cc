@@ -1,7 +1,8 @@
 /**
  * @file
  * gzip (RFC 1952) and zlib (RFC 1950) container tests: wrap/unwrap round
- * trips, header parsing, checksum verification, corruption detection.
+ * trips, header parsing, checksum verification, corruption detection,
+ * multi-member gzip files and the output cap.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "deflate/deflate_encoder.h"
 #include "deflate/gzip_stream.h"
 #include "deflate/zlib_stream.h"
+#include "util/crc32.h"
 #include "util/prng.h"
 
 using deflate::deflateCompress;
@@ -48,7 +50,9 @@ TEST(Gzip, NameFieldPreserved)
 {
     auto data = sampleData(100, 2);
     auto raw = deflateCompress(data).bytes;
-    auto member = gzipWrap(raw, data, "file.txt");
+    deflate::GzipWriteOptions opts;
+    opts.name = "file.txt";
+    auto member = gzipWrap(raw, data, opts);
     auto res = gzipUnwrap(member);
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.header.name, "file.txt");
@@ -123,7 +127,7 @@ TEST(Gzip, FullHeaderFieldsRoundTrip)
     opts.extra = {0x41, 0x42, 0x04, 0x00, 1, 2, 3, 4};    // subfield
     opts.mtime = 1720000000;
     opts.headerCrc = true;
-    auto member = deflate::gzipWrapEx(
+    auto member = deflate::gzipWrap(
         deflate::deflateCompress(data).bytes, data, opts);
 
     auto res = deflate::gzipUnwrap(member);
@@ -143,7 +147,7 @@ TEST(Gzip, HeaderCrcCatchesHeaderCorruption)
     deflate::GzipWriteOptions opts;
     opts.name = "x";
     opts.headerCrc = true;
-    auto member = deflate::gzipWrapEx(
+    auto member = deflate::gzipWrap(
         deflate::deflateCompress(data).bytes, data, opts);
     member[10] ^= 0x01;    // corrupt the name field
     auto res = deflate::gzipUnwrap(member);
@@ -156,11 +160,46 @@ TEST(Gzip, TruncatedExtraRejected)
     auto data = sampleData(100, 22);
     deflate::GzipWriteOptions opts;
     opts.extra = std::vector<uint8_t>(64, 0x5a);
-    auto member = deflate::gzipWrapEx(
+    auto member = deflate::gzipWrap(
         deflate::deflateCompress(data).bytes, data, opts);
     member.resize(14);    // cuts inside FEXTRA
     auto res = deflate::gzipUnwrap(member);
     EXPECT_FALSE(res.ok);
+}
+
+TEST(Gzip, EveryMemberIsRead)
+{
+    // Three members, the way `cat` or a parallel compressor joins them:
+    // level 6 with a name, an empty one, then level 1.
+    auto a = sampleData(20000, 23);
+    std::vector<uint8_t> b;
+    auto c = sampleData(7000, 24);
+    deflate::DeflateOptions fast;
+    fast.level = 1;
+    deflate::GzipWriteOptions named;
+    named.name = "a";
+    auto file = gzipWrap(deflateCompress(a).bytes, a, named);
+    std::vector<size_t> ends = {file.size()};
+    for (auto member : {gzipWrap(deflateCompress(b).bytes, b),
+                        gzipWrap(deflateCompress(c, fast).bytes, c)}) {
+        file.insert(file.end(), member.begin(), member.end());
+        ends.push_back(file.size());
+    }
+    std::vector<uint8_t> whole(a);
+    whole.insert(whole.end(), c.begin(), c.end());
+
+    auto res = gzipUnwrap(file);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.inflate.bytes, whole);
+    EXPECT_EQ(res.memberEnds, ends);
+    EXPECT_EQ(res.header.name, "a");
+    EXPECT_EQ(res.crc, util::crc32(whole));
+
+    // One cap covers every member.
+    EXPECT_TRUE(gzipUnwrap(file, whole.size()).ok);
+    auto over = gzipUnwrap(file, whole.size() - 1);
+    EXPECT_FALSE(over.ok);
+    EXPECT_EQ(over.inflate.status, deflate::InflateStatus::OutputLimit);
 }
 
 TEST(Zlib, RoundTrip)
@@ -196,10 +235,25 @@ TEST(Zlib, HeaderFlevelFollowsZlib)
         EXPECT_EQ(stream[0], 0x78) << "level " << level;
         EXPECT_EQ(stream[1], expected[level]) << "level " << level;
         // The preset-dictionary header carries the same FLEVEL.
-        auto dict = deflate::zlibWrapWithDict(
-            deflateCompress(data).bytes, data, data, level);
+        auto dict = zlibWrap(deflateCompress(data).bytes, data, level,
+                             data);
         EXPECT_EQ(dict[1] >> 6, expected[level] >> 6) << "level " << level;
     }
+}
+
+TEST(Zlib, DictionaryReadHonoursCap)
+{
+    auto dict = sampleData(4096, 13);
+    auto data = sampleData(3000, 14);
+    auto stream = zlibWrap(
+        deflate::deflateCompressWithDict(data, dict).bytes, data, 6, dict);
+
+    auto at = zlibUnwrap(stream, data.size(), dict);
+    ASSERT_TRUE(at.ok) << at.error;
+    EXPECT_EQ(at.inflate.bytes, data);
+    auto over = zlibUnwrap(stream, data.size() - 1, dict);
+    EXPECT_FALSE(over.ok);
+    EXPECT_EQ(over.inflate.status, deflate::InflateStatus::OutputLimit);
 }
 
 TEST(Zlib, AdlerMismatchDetected)

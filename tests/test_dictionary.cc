@@ -122,8 +122,8 @@ TEST(ZlibFdict, RoundTrip)
     auto dict = workloads::makeCsv(16384, 106);
     auto input = workloads::makeCsv(8192, 107);
     auto raw = deflateCompressWithDict(input, dict);
-    auto stream = deflate::zlibWrapWithDict(raw.bytes, input, dict);
-    auto res = deflate::zlibUnwrapWithDict(stream, dict);
+    auto stream = deflate::zlibWrap(raw.bytes, input, 6, dict);
+    auto res = deflate::zlibUnwrap(stream, size_t{1} << 30, dict);
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.inflate.bytes, input);
 }
@@ -133,8 +133,8 @@ TEST(ZlibFdict, MissingDictionaryRejected)
     auto dict = workloads::makeCsv(4096, 108);
     auto input = workloads::makeCsv(2048, 109);
     auto raw = deflateCompressWithDict(input, dict);
-    auto stream = deflate::zlibWrapWithDict(raw.bytes, input, dict);
-    auto res = deflate::zlibUnwrapWithDict(stream, {});
+    auto stream = deflate::zlibWrap(raw.bytes, input, 6, dict);
+    auto res = deflate::zlibUnwrap(stream, size_t{1} << 30, {});
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(res.error, "dictionary required");
 }
@@ -145,8 +145,8 @@ TEST(ZlibFdict, DictIdMismatchRejected)
     auto wrong = workloads::makeCsv(4096, 111);
     auto input = workloads::makeCsv(2048, 112);
     auto raw = deflateCompressWithDict(input, dict);
-    auto stream = deflate::zlibWrapWithDict(raw.bytes, input, dict);
-    auto res = deflate::zlibUnwrapWithDict(stream, wrong);
+    auto stream = deflate::zlibWrap(raw.bytes, input, 6, dict);
+    auto res = deflate::zlibUnwrap(stream, size_t{1} << 30, wrong);
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(res.error, "DICTID mismatch");
 }
@@ -156,7 +156,7 @@ TEST(ZlibFdict, PlainStreamStillDecodes)
     auto input = workloads::makeText(10000, 113);
     auto raw = deflateCompress(input);
     auto stream = deflate::zlibWrap(raw.bytes, input);
-    auto res = deflate::zlibUnwrapWithDict(stream, {});
+    auto res = deflate::zlibUnwrap(stream, size_t{1} << 30, {});
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.inflate.bytes, input);
 }
@@ -170,22 +170,22 @@ TEST(GzipMultiMember, ConcatenationDecodes)
     std::vector<uint8_t> file(ma);
     file.insert(file.end(), mb.begin(), mb.end());
 
-    auto res = deflate::gzipUnwrapAll(file);
+    auto res = deflate::gzipUnwrap(file);
     ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(res.members, 2u);
+    EXPECT_EQ(res.memberEnds.size(), 2u);
     std::vector<uint8_t> both(a);
     both.insert(both.end(), b.begin(), b.end());
-    EXPECT_EQ(res.bytes, both);
+    EXPECT_EQ(res.inflate.bytes, both);
 }
 
 TEST(GzipMultiMember, SingleMemberStillWorks)
 {
     auto a = workloads::makeText(5000, 116);
     auto ma = deflate::gzipWrap(deflateCompress(a).bytes, a);
-    auto res = deflate::gzipUnwrapAll(ma);
+    auto res = deflate::gzipUnwrap(ma);
     ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.members, 1u);
-    EXPECT_EQ(res.bytes, a);
+    EXPECT_EQ(res.memberEnds.size(), 1u);
+    EXPECT_EQ(res.inflate.bytes, a);
 }
 
 TEST(GzipMultiMember, TrailingGarbageRejected)
@@ -193,6 +193,6 @@ TEST(GzipMultiMember, TrailingGarbageRejected)
     auto a = workloads::makeText(5000, 117);
     auto file = deflate::gzipWrap(deflateCompress(a).bytes, a);
     file.push_back(0x42);
-    auto res = deflate::gzipUnwrapAll(file);
+    auto res = deflate::gzipUnwrap(file);
     EXPECT_FALSE(res.ok);
 }

@@ -95,3 +95,11 @@ TEST(Prng, ZipfSkewsTowardLowRanks)
     }
     EXPECT_GT(low, high * 2);
 }
+
+TEST(PrngDeathTest, ZipfRejectsExponentOfOne)
+{
+    // At s = 1 the rejection sampler's acceptance test is NaN on every
+    // draw, so it would never return; the contract stops it first.
+    Xoshiro256 r(17);
+    EXPECT_DEATH((void)r.zipf(100, 1.0), "zipf exponent must exceed 1");
+}

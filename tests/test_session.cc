@@ -5,7 +5,7 @@
  * The session layer is only trustworthy if its routing is *provably*
  * transparent: whatever the policy decides, the bytes the caller gets
  * must be exactly what the chosen backend's direct API would have
- * produced. Five families:
+ * produced. Six families:
  *
  *  - differential: for every (format x backend x size-straddling-the-
  *    threshold) cell, Session output is bit-identical to the direct
@@ -19,6 +19,8 @@
  *    software and are counted;
  *  - output cap: maxOutputBytes bounds every decompress on both routes,
  *    and a cap past what one DDE describes still runs on the device;
+ *  - multi-member gzip: both routes decode every member under one cap
+ *    and reject bytes after the last one;
  *  - lifecycle: close semantics and the configure-before-use contract
  *    (death tests).
  *
@@ -36,6 +38,7 @@
 #include "core/session.h"
 #include "e842/e842.h"
 #include "e842/e842_engine.h"
+#include "util/crc32.h"
 #include "workloads/corpus.h"
 
 namespace {
@@ -546,6 +549,143 @@ TEST(SessionOutputCap, CapPastOneDdeStillRunsOnTheDevice)
         EXPECT_EQ(res.data, payload);
         sess.close();
     }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-member gzip: a gzip file is a series of members.
+// ---------------------------------------------------------------------------
+
+/** Append the gzip member of @p payload at @p level to @p file. */
+void
+appendMember(std::vector<uint8_t> &file, int level,
+             std::span<const uint8_t> payload)
+{
+    auto m = swCompress(SessionFormat::Gzip, level, payload);
+    file.insert(file.end(), m.begin(), m.end());
+}
+
+TEST(SessionMultiMember, EveryMemberIsDecodedOnBothRoutes)
+{
+    // Level 6, an empty member, then level 1: the output is the
+    // payloads in order.
+    const auto a = workloads::makeText(6000, 30);
+    const auto c = workloads::makeLog(9000, 31);
+    std::vector<uint8_t> file;
+    appendMember(file, 6, a);
+    appendMember(file, 6, {});
+    appendMember(file, 1, c);
+    std::vector<uint8_t> whole(a);
+    whole.insert(whole.end(), c.begin(), c.end());
+
+    for (bool software : {false, true}) {
+        SCOPED_TRACE(software ? "forceSoftware" : "device");
+        auto pol = basePolicy(SessionFormat::Gzip);
+        pol.accelThresholdBytes = 0;
+        pol.forceSoftware = software;
+        Session sess(testChip(), pol);
+        auto res = sess.decompress(file);
+        ASSERT_TRUE(res.ok) << res.error;
+        EXPECT_EQ(res.data, whole);
+        EXPECT_EQ(res.backend, software ? Backend::Software
+                                        : Backend::Accelerator);
+        EXPECT_FALSE(res.fellBack);
+        sess.close();
+    }
+}
+
+TEST(SessionMultiMember, TrailingBytesFailWithBadDataOnBothRoutes)
+{
+    std::vector<uint8_t> file;
+    appendMember(file, 6, workloads::makeText(3000, 32));
+    appendMember(file, 6, workloads::makeText(3000, 33));
+    const std::vector<uint8_t> junk = {'j', 'u', 'n', 'k'};
+    file.insert(file.end(), junk.begin(), junk.end());
+
+    for (bool software : {false, true}) {
+        SCOPED_TRACE(software ? "forceSoftware" : "device");
+        auto pol = basePolicy(SessionFormat::Gzip);
+        pol.accelThresholdBytes = 0;
+        pol.forceSoftware = software;
+        Session sess(testChip(), pol);
+        auto res = sess.decompress(file);
+        EXPECT_FALSE(res.ok);
+        EXPECT_TRUE(res.data.empty());
+        EXPECT_NE(res.error.find("BadData"), std::string::npos)
+            << res.error;
+        // BadData is terminal on the device, then software rejects too.
+        EXPECT_EQ(res.fellBack, !software);
+        sess.close();
+    }
+}
+
+TEST(SessionMultiMember, OutputCapCoversTheSumOfMembers)
+{
+    constexpr uint64_t kCap = 5000;
+    const auto first = workloads::makeText(3000, 34);
+    const auto rest = workloads::makeText(kCap - 3000 + 1, 35);
+    std::vector<uint8_t> atCap;    // 3000 + 2000 bytes
+    appendMember(atCap, 6, first);
+    appendMember(atCap, 1, std::span(rest).first(kCap - 3000));
+    std::vector<uint8_t> overCap;  // 3000 + 2001 bytes
+    appendMember(overCap, 6, first);
+    appendMember(overCap, 1, rest);
+
+    for (bool software : {false, true}) {
+        SCOPED_TRACE(software ? "forceSoftware" : "device");
+        auto pol = basePolicy(SessionFormat::Gzip);
+        pol.accelThresholdBytes = 0;
+        pol.forceSoftware = software;
+        pol.maxOutputBytes = kCap;
+        Session sess(testChip(), pol);
+
+        auto at = sess.decompress(atCap);
+        ASSERT_TRUE(at.ok) << at.error;
+        EXPECT_EQ(at.data.size(), kCap);
+        EXPECT_EQ(at.backend, software ? Backend::Software
+                                       : Backend::Accelerator);
+
+        auto over = sess.decompress(overCap);
+        EXPECT_FALSE(over.ok);
+        EXPECT_TRUE(over.data.empty());
+        EXPECT_NE(over.error.find("OutputOverflow"), std::string::npos)
+            << over.error;
+        EXPECT_EQ(over.fellBack, !software);
+        sess.close();
+    }
+}
+
+TEST(SessionMultiMember, BothLegsReportTheWholeOutputChecksum)
+{
+    // Software decompress carries the checksum the engine reports: the
+    // trailer's for one stream, the CRC-32 of all members for several.
+    const auto payload = workloads::makeText(6000, 36);
+    core::SoftwareCodec codec;
+    core::NxDevice dev(testChip());
+    for (nx::Framing fr : {nx::Framing::Gzip, nx::Framing::Zlib,
+                           nx::Framing::Raw}) {
+        SCOPED_TRACE(testing::Message() << "framing "
+                     << static_cast<int>(fr));
+        auto c = codec.compress(payload, fr);
+        auto sw = codec.decompress(c.data, fr);
+        auto hw = dev.decompress(c.data, fr);
+        ASSERT_TRUE(sw.ok());
+        ASSERT_TRUE(hw.ok());
+        EXPECT_EQ(sw.csb.checksum, c.csb.checksum);
+        EXPECT_EQ(hw.csb.checksum, c.csb.checksum);
+    }
+
+    std::vector<uint8_t> file;
+    appendMember(file, 6, payload);
+    appendMember(file, 1, payload);
+    std::vector<uint8_t> whole(payload);
+    whole.insert(whole.end(), payload.begin(), payload.end());
+    auto sw = codec.decompress(file, nx::Framing::Gzip);
+    auto hw = dev.decompress(file, nx::Framing::Gzip);
+    ASSERT_TRUE(sw.ok());
+    ASSERT_TRUE(hw.ok());
+    EXPECT_EQ(sw.data, whole);
+    EXPECT_EQ(sw.csb.checksum, util::crc32(whole));
+    EXPECT_EQ(hw.csb.checksum, util::crc32(whole));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Line-coverage gate (the ci.sh coverage stage) for the files listed in
 # tools/coverage_baseline.txt: the session layer, the JobServer
-# dispatch layer, the DEFLATE decoder and encoder, and the encoder's
-# match finder and Huffman builder.
+# dispatch layer, the DEFLATE decoder and encoder, the encoder's match
+# finder and Huffman builder, and the gzip and zlib containers.
 #
 # Expects a build tree configured with the `coverage` preset
 # (NXSIM_COVERAGE=ON) in which the `session`-, `load`-, `codec`- and

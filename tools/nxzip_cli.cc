@@ -81,27 +81,24 @@ runParallel(bool decompress, int workers, const core::ChipTopology &topo,
         // Split on gzip member boundaries; each member inflates
         // independently on its own engine. (The boundary scan inflates
         // once on the host; the engines then do the modelled work.)
-        size_t off = 0;
-        while (off < input.size()) {
-            auto m = deflate::gzipUnwrap(
-                std::span<const uint8_t>(input).subspan(off));
-            if (!m.ok) {
-                std::fprintf(stderr, "nxzip: %s\n", m.error.c_str());
+        std::vector<size_t> ends;
+        {
+            auto file = deflate::gzipUnwrap(input);
+            if (!file.ok) {
+                std::fprintf(stderr, "nxzip: %s\n", file.error.c_str());
                 return 1;
             }
+            ends = std::move(file.memberEnds);
+        }
+        size_t off = 0;
+        for (size_t end : ends) {
             core::JobSpec s;
             s.kind = core::JobKind::Decompress;
-            s.payload.assign(input.begin() +
-                                 nx::checked_cast<std::ptrdiff_t>(off),
-                             input.begin() +
-                                 nx::checked_cast<std::ptrdiff_t>(
-                                     off + m.memberBytes));
+            s.payload.assign(
+                input.begin() + nx::checked_cast<std::ptrdiff_t>(off),
+                input.begin() + nx::checked_cast<std::ptrdiff_t>(end));
             specs.push_back(std::move(s));
-            off += m.memberBytes;
-        }
-        if (specs.empty()) {
-            std::fprintf(stderr, "nxzip: empty gzip input\n");
-            return 1;
+            off = end;
         }
     } else {
         const size_t kChunk = size_t{1} << 20;
