@@ -22,14 +22,16 @@
 #                      and `load` ctest labels (JobServer dispatch,
 #                      multi-session stress, load-generator suites)
 #   9. coverage        gcov build; runs the `session`, `load`,
-#                      `codec` and `concurrency` ctest labels and gates
-#                      the line coverage of src/core/session.cc,
-#                      src/core/job_server.cc,
+#                      `codec`, `concurrency` and `model` ctest labels
+#                      and gates the line coverage of
+#                      src/core/session.cc, src/core/job_server.cc,
 #                      src/deflate/inflate_stream.cc,
 #                      src/deflate/deflate_stream.cc,
 #                      src/deflate/lz77.cc, src/deflate/huffman.cc,
-#                      src/deflate/gzip_stream.cc and
-#                      src/deflate/zlib_stream.cc against
+#                      src/deflate/gzip_stream.cc,
+#                      src/deflate/zlib_stream.cc,
+#                      src/nx/match_pipeline.cc and
+#                      src/nx/hash_table.cc against
 #                      tools/coverage_baseline.txt
 #  10. clang-tsa       Clang -Wthread-safety over the lock annotations
 #                      (src/util/thread_annotations.h); skipped with a
@@ -142,10 +144,10 @@ cmake --preset tsan
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan -L 'concurrency|load' --output-on-failure -j "$jobs"
 
-stage "coverage (session|load|codec|concurrency labels + gcov gate)" "9/14"
+stage "coverage (session|load|codec|concurrency|model labels + gcov gate)" "9/14"
 cmake --preset coverage
 cmake --build build-coverage -j "$jobs"
-ctest --test-dir build-coverage -L 'session|load|codec|concurrency' \
+ctest --test-dir build-coverage -L 'session|load|codec|concurrency|model' \
     --output-on-failure -j "$jobs"
 tools/coverage_gate.sh build-coverage
 

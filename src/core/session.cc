@@ -18,19 +18,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** CRB framing for the deflate-family session formats. */
-Framing
-framingOf(SessionFormat f)
-{
-    switch (f) {
-      case SessionFormat::Gzip: return Framing::Gzip;
-      case SessionFormat::Zlib: return Framing::Zlib;
-      case SessionFormat::RawDeflate: return Framing::Raw;
-      case SessionFormat::E842: break;   // no DEFLATE framing
-    }
-    return Framing::Raw;
-}
-
 } // namespace
 
 const char *
@@ -43,6 +30,18 @@ toString(SessionFormat f)
       case SessionFormat::E842: return "842";
     }
     return "?";
+}
+
+Framing
+deflateFraming(SessionFormat f)
+{
+    switch (f) {
+      case SessionFormat::Gzip: return Framing::Gzip;
+      case SessionFormat::Zlib: return Framing::Zlib;
+      case SessionFormat::RawDeflate: return Framing::Raw;
+      case SessionFormat::E842: break;   // no DEFLATE framing
+    }
+    return Framing::Raw;
 }
 
 const char *
@@ -172,7 +171,7 @@ Session::deviceLeg(core::JobKind kind, std::span<const uint8_t> staged,
         spec.kind = kind;
         spec.codec = pol_.format == SessionFormat::E842
             ? core::Codec::E842 : core::Codec::Deflate;
-        spec.framing = framingOf(pol_.format);
+        spec.framing = deflateFraming(pol_.format);
         spec.mode = pol_.mode;
         spec.maxOutput = pol_.maxOutputBytes;
         spec.payload.assign(staged.begin(), staged.end());
@@ -231,8 +230,8 @@ Session::softwareLeg(core::JobKind kind,
 
     core::SoftwareCodec codec(pol_.level);
     core::JobResult r = kind == core::JobKind::Compress
-        ? codec.compress(input, framingOf(pol_.format))
-        : codec.decompress(input, framingOf(pol_.format),
+        ? codec.compress(input, deflateFraming(pol_.format))
+        : codec.decompress(input, deflateFraming(pol_.format),
                            pol_.maxOutputBytes);
     out.ok = r.ok();
     out.seconds = r.seconds;

@@ -68,6 +68,12 @@ enum class SessionFormat : uint8_t
 /** Human-readable format name. */
 const char *toString(SessionFormat f);
 
+/**
+ * The CRB framing of a deflate-family format (E842 has no DEFLATE
+ * framing and maps to Raw): the one SessionFormat->Framing switch.
+ */
+Framing deflateFraming(SessionFormat f);
+
 /** Where a request's output was actually produced. */
 enum class Backend : uint8_t
 {

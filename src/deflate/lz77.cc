@@ -1,42 +1,10 @@
 #include "deflate/lz77.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include "util/checked.h"
 #include "util/contracts.h"
 
 namespace deflate {
-
-namespace {
-
-/**
- * Length of the common prefix of @p a and @p b, at most @p max_len:
- * eight bytes per step, where the first differing byte is the lowest
- * set byte of the XOR on a little-endian host and the highest on a
- * big-endian one, then bytewise for the last few.
- */
-size_t
-commonPrefix(const uint8_t *a, const uint8_t *b, size_t max_len)
-{
-    size_t len = 0;
-    for (; len + 8 <= max_len; len += 8) {
-        uint64_t x = 0;
-        uint64_t y = 0;
-        std::memcpy(&x, a + len, 8);
-        std::memcpy(&y, b + len, 8);
-        if (uint64_t diff = x ^ y) {
-            int bits = std::endian::native == std::endian::little
-                ? std::countr_zero(diff) : std::countl_zero(diff);
-            return len + static_cast<size_t>(bits / 8);
-        }
-    }
-    while (len < max_len && a[len] == b[len])
-        ++len;
-    return len;
-}
-
-} // namespace
 
 TokenStats
 summarize(std::span<const Token> tokens)

@@ -13,7 +13,9 @@
 #ifndef NXSIM_DEFLATE_LZ77_H
 #define NXSIM_DEFLATE_LZ77_H
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -46,6 +48,51 @@ struct Token
 
     bool isLiteral() const { return length == 0; }
 };
+
+/** The eight bytes at @p p as one native-order word. */
+inline uint64_t
+loadWord(const uint8_t *p)
+{
+    uint64_t v = 0;
+    std::memcpy(&v, p, 8);
+    return v;
+}
+
+/**
+ * Leading equal bytes of two loadWord() words, given @p diff, their
+ * XOR: the first differing byte is the lowest set byte of the XOR on a
+ * little-endian host and the highest on a big-endian one, and equal
+ * words (diff == 0) give 8.
+ */
+inline size_t
+equalBytes(uint64_t diff)
+{
+    // The sentinel bit keeps the count's argument nonzero, so no
+    // branch tests for equal words; `diff == 0` then turns 7 into 8.
+    int bits = std::endian::native == std::endian::little
+        ? std::countr_zero(diff | (uint64_t{1} << 63))
+        : std::countl_zero(diff | 1);
+    return static_cast<size_t>(bits / 8) + (diff == 0 ? 1 : 0);
+}
+
+/**
+ * Length of the common prefix of @p a and @p b, at most @p max_len:
+ * eight bytes per step, then bytewise for the last few. Both matchers
+ * compare through it: the chain walk here and the accelerator's way
+ * comparators (nx/match_pipeline.cc).
+ */
+inline size_t
+commonPrefix(const uint8_t *a, const uint8_t *b, size_t max_len)
+{
+    size_t len = 0;
+    for (; len + 8 <= max_len; len += 8) {
+        if (uint64_t diff = loadWord(a + len) ^ loadWord(b + len))
+            return len + equalBytes(diff);
+    }
+    while (len < max_len && a[len] == b[len])
+        ++len;
+    return len;
+}
 
 /** Aggregate statistics of a token stream, used by cost models. */
 struct TokenStats

@@ -25,18 +25,6 @@ generate(Content c, size_t bytes, uint64_t seed)
     return workloads::makeMixed(bytes, seed);
 }
 
-nx::Framing
-framingOf(nx::SessionFormat f)
-{
-    switch (f) {
-      case nx::SessionFormat::Gzip: return nx::Framing::Gzip;
-      case nx::SessionFormat::Zlib: return nx::Framing::Zlib;
-      case nx::SessionFormat::RawDeflate: return nx::Framing::Raw;
-      case nx::SessionFormat::E842: break;
-    }
-    return nx::Framing::Raw;
-}
-
 /**
  * The stream a decompress request replays, produced by the software
  * path — the output every backend is bit-compatible with, so a
@@ -49,7 +37,7 @@ compressFor(nx::SessionFormat format,
     if (format == nx::SessionFormat::E842)
         return e842::compress(source).bytes;
     core::SoftwareCodec codec(6);
-    auto r = codec.compress(source, framingOf(format));
+    auto r = codec.compress(source, nx::deflateFraming(format));
     NXSIM_ENSURE(r.ok(), "mix preparation: software compress failed");
     return std::move(r.data);
 }

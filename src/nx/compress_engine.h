@@ -61,7 +61,7 @@ struct CompressJobResult
     Csb csb;
     std::vector<uint8_t> output;    ///< framed compressed stream
     CompressTiming timing;
-    MatchResult matchInfo;          ///< tokens dropped, stats kept
+    MatchResult matchInfo;          ///< match stage tokens and counters
 
     /** Original-size / compressed-size. */
     double

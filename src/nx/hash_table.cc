@@ -2,50 +2,29 @@
 
 #include <algorithm>
 #include "util/checked.h"
+#include "util/contracts.h"
 
 namespace nx {
 
 BankedHashTable::BankedHashTable(const HashConfig &cfg) : cfg_(cfg)
 {
+    NXSIM_EXPECT(cfg_.indexBits >= 1 && cfg_.indexBits <= 24,
+                 "indexBits must be in [1, 24]");
+    NXSIM_EXPECT(cfg_.ways >= 1 && cfg_.ways <= 255,
+                 "ways must be in [1, 255]");
+    NXSIM_EXPECT(cfg_.banks >= 1 && (cfg_.banks & (cfg_.banks - 1)) == 0,
+                 "banks must be a power of two");
+    NXSIM_EXPECT(cfg_.minMatch >= 3 && cfg_.minMatch <= 258,
+                 "minMatch must be in [3, 258]");
     size_t sets = size_t{1} << cfg_.indexBits;
     entries_.assign(sets * static_cast<size_t>(cfg_.ways), 0);
-    fill_.assign(sets, 0);
-    head_.assign(sets, 0);
-    scratch_.resize(static_cast<size_t>(cfg_.ways));
+    state_.assign(sets, SetState{});
 }
 
 void
 BankedHashTable::clear()
 {
-    std::fill(fill_.begin(), fill_.end(), 0);
-    std::fill(head_.begin(), head_.end(), 0);
-}
-
-std::span<const uint32_t>
-BankedHashTable::lookup(uint32_t set) const
-{
-    int n = fill_[set];
-    const uint32_t *base = entries_.data() +
-        static_cast<size_t>(set) * static_cast<size_t>(cfg_.ways);
-    // Most-recent-first: head_ points at the next victim, so the newest
-    // entry sits just behind it.
-    for (int i = 0; i < n; ++i) {
-        int idx = (head_[set] - 1 - i + cfg_.ways * 2) % cfg_.ways;
-        scratch_[static_cast<size_t>(i)] =
-            base[static_cast<size_t>(idx)];
-    }
-    return {scratch_.data(), static_cast<size_t>(n)};
-}
-
-void
-BankedHashTable::insert(uint32_t set, uint32_t pos)
-{
-    uint32_t *base = entries_.data() +
-        static_cast<size_t>(set) * static_cast<size_t>(cfg_.ways);
-    base[head_[set]] = pos;
-    head_[set] = nx::checked_cast<uint8_t>((head_[set] + 1) % cfg_.ways);
-    if (fill_[set] < cfg_.ways)
-        ++fill_[set];
+    std::fill(state_.begin(), state_.end(), SetState{});
 }
 
 uint64_t

@@ -16,8 +16,8 @@
 #ifndef NXSIM_NX_HASH_TABLE_H
 #define NXSIM_NX_HASH_TABLE_H
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "nx/nx_config.h"
@@ -30,6 +30,41 @@ namespace nx {
 class BankedHashTable
 {
   public:
+    /**
+     * One set's filled ways, most recent first, read in place: way i
+     * is the entry i steps behind the set's head, wrapping by one
+     * compare instead of a divide.
+     */
+    class Ways
+    {
+      public:
+        Ways(const uint32_t *base, size_t head, size_t fill, size_t ways)
+            : base_(base), head_(head), fill_(fill), ways_(ways)
+        {
+        }
+
+        size_t size() const { return fill_; }
+        bool empty() const { return fill_ == 0; }
+
+        uint32_t
+        operator[](size_t i) const
+        {
+            size_t idx = head_ + ways_ - 1 - i;
+            return base_[idx >= ways_ ? idx - ways_ : idx];
+        }
+
+      private:
+        const uint32_t *base_;
+        size_t head_;
+        size_t fill_;
+        size_t ways_;
+    };
+
+    /**
+     * @pre 1 <= indexBits <= 24, 1 <= ways <= 255 (the per-set fill
+     *      count is a byte), banks a power of two, 3 <= minMatch <= 258
+     *      (hashAt reads three bytes; no DEFLATE match is longer)
+     */
     explicit BankedHashTable(const HashConfig &cfg);
 
     /** Forget everything (engine reset between CRBs). */
@@ -56,14 +91,31 @@ class BankedHashTable
     }
 
     /**
-     * Read the candidate positions stored in @p set (most recent
-     * first). Entries may be stale (outside the window); the match
-     * comparators filter those.
+     * The candidate positions stored in @p set, most recent first.
+     * Entries may be stale (outside the window); the match comparators
+     * filter those.
      */
-    std::span<const uint32_t> lookup(uint32_t set) const;
+    Ways
+    lookup(uint32_t set) const
+    {
+        const SetState &s = state_[set];
+        const auto ways = static_cast<size_t>(cfg_.ways);
+        return {entries_.data() + static_cast<size_t>(set) * ways, s.head,
+                s.fill, ways};
+    }
 
     /** Insert @p pos into @p set, evicting the oldest way (FIFO). */
-    void insert(uint32_t set, uint32_t pos);
+    void
+    insert(uint32_t set, uint32_t pos)
+    {
+        SetState &s = state_[set];
+        entries_[static_cast<size_t>(set) * static_cast<size_t>(cfg_.ways) +
+                 s.head] = pos;
+        if (++s.head == cfg_.ways)
+            s.head = 0;
+        if (s.fill < cfg_.ways)
+            ++s.fill;
+    }
 
     const HashConfig &config() const { return cfg_; }
 
@@ -71,13 +123,16 @@ class BankedHashTable
     uint64_t sramBits() const;
 
   private:
+    /** Next victim way and number of filled ways of one set. */
+    struct SetState
+    {
+        uint8_t head = 0;
+        uint8_t fill = 0;
+    };
+
     HashConfig cfg_;
-    // sets x ways position entries plus a per-set fill count.
-    std::vector<uint32_t> entries_;
-    std::vector<uint8_t> fill_;
-    std::vector<uint8_t> head_;    // FIFO replacement pointer per set
-    // Scratch for lookup() to return recency-ordered views.
-    mutable std::vector<uint32_t> scratch_;
+    std::vector<uint32_t> entries_;    // sets x ways positions
+    std::vector<SetState> state_;
 };
 
 } // namespace nx

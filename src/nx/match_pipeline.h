@@ -53,6 +53,10 @@ struct MatchResult
 class MatchPipeline
 {
   public:
+    /**
+     * @pre cfg.compressBytesPerCycle >= 1, and cfg.hash as
+     *      BankedHashTable requires
+     */
     explicit MatchPipeline(const NxConfig &cfg);
 
     /**
@@ -65,8 +69,13 @@ class MatchPipeline
 
 
   private:
-    /** Longest valid match at @p pos among table candidates. */
-    int bestMatch(std::span<const uint8_t> in, size_t pos,
+    /**
+     * Longest valid match at @p pos among the ways of @p set, the set
+     * run() hashed @p pos to. Every way is compared at once, as the
+     * hardware's parallel comparators do; the most recent way wins a
+     * tie. Adds every filled way, stale or not, to @p tried.
+     */
+    int bestMatch(std::span<const uint8_t> in, size_t pos, uint32_t set,
                   uint64_t &tried, int &out_dist) const;
 
     NxConfig cfg_;

@@ -216,3 +216,76 @@ TEST_F(MatchPipelineTest, DeterministicAcrossRuns)
     EXPECT_EQ(r1.cycles, r2.cycles);
     ASSERT_EQ(r1.tokens.size(), r2.tokens.size());
 }
+
+// Geometries no shipped part has; the constructors refuse them. Several
+// used to read or write out of bounds or divide by zero inside the
+// model: minMatch 2 hashed a byte past the input, zero banks or ways
+// indexed empty arrays, and a zero-wide pipe divided by zero.
+NxConfig
+withHash(int index_bits, int ways, int banks, int min_match)
+{
+    NxConfig cfg = NxConfig::power9();
+    cfg.hash.indexBits = index_bits;
+    cfg.hash.ways = ways;
+    cfg.hash.banks = banks;
+    cfg.hash.minMatch = min_match;
+    return cfg;
+}
+
+TEST(MatchPipelineDeathTest, MinMatchOutsideThreeTo258IsRejected)
+{
+    EXPECT_DEATH(MatchPipeline pipe(withHash(12, 8, 8, 2)),
+                 "minMatch must be in");
+    EXPECT_DEATH(MatchPipeline pipe(withHash(12, 8, 8, 259)),
+                 "minMatch must be in");
+}
+
+TEST(MatchPipelineDeathTest, BanksThatAreNotAPowerOfTwoAreRejected)
+{
+    EXPECT_DEATH(MatchPipeline pipe(withHash(12, 8, 0, 4)),
+                 "banks must be a power of two");
+    EXPECT_DEATH(MatchPipeline pipe(withHash(12, 8, 3, 4)),
+                 "banks must be a power of two");
+}
+
+TEST(MatchPipelineDeathTest, WaysOutsideOneTo255AreRejected)
+{
+    EXPECT_DEATH(MatchPipeline pipe(withHash(12, 0, 8, 4)),
+                 "ways must be in");
+    EXPECT_DEATH(MatchPipeline pipe(withHash(4, 256, 8, 4)),
+                 "ways must be in");
+}
+
+TEST(MatchPipelineDeathTest, IndexBitsOutsideOneTo24AreRejected)
+{
+    EXPECT_DEATH(MatchPipeline pipe(withHash(0, 8, 8, 4)),
+                 "indexBits must be in");
+    EXPECT_DEATH(MatchPipeline pipe(withHash(25, 8, 8, 4)),
+                 "indexBits must be in");
+}
+
+TEST(MatchPipelineDeathTest, ZeroBytesPerCycleIsRejected)
+{
+    NxConfig cfg = NxConfig::power9();
+    cfg.compressBytesPerCycle = 0;
+    EXPECT_DEATH(MatchPipeline pipe(cfg), "compressBytesPerCycle");
+}
+
+TEST(MatchPipeline, EdgeGeometriesStayInBounds)
+{
+    // The extremes the constructors accept: one set, one way, one
+    // bank, the longest minMatch, and 255 ways (the fill count's
+    // limit) on an input that wraps every set's ring several times.
+    auto input = workloads::makeMixed(20000, 31);
+    for (NxConfig cfg : {withHash(1, 1, 1, 3), withHash(1, 255, 1, 258),
+                         withHash(4, 255, 16, 3)}) {
+        MatchPipeline pipe(cfg);
+        auto res = pipe.run(input);
+        EXPECT_TRUE(deflate::tokensReproduce(res.tokens, input));
+        for (const auto &t : res.tokens) {
+            if (!t.isLiteral()) {
+                EXPECT_GE(t.length, cfg.hash.minMatch);
+            }
+        }
+    }
+}

@@ -2,15 +2,17 @@
 # Line-coverage gate (the ci.sh coverage stage) for the files listed in
 # tools/coverage_baseline.txt: the session layer, the JobServer
 # dispatch layer, the DEFLATE decoder and encoder, the encoder's match
-# finder and Huffman builder, and the gzip and zlib containers.
+# finder and Huffman builder, the gzip and zlib containers, and the
+# accelerator model's match pipeline and hash table.
 #
 # Expects a build tree configured with the `coverage` preset
-# (NXSIM_COVERAGE=ON) in which the `session`-, `load`-, `codec`- and
-# `concurrency`-labeled ctest suites have already run, so the .gcda
-# counters exist. Runs gcov over each listed source file and fails when
-# its executed-line percentage falls below the checked-in minimum in
-# tools/coverage_baseline.txt — a one-way ratchet: raise the baseline
-# when coverage improves, never lower it to make a regression pass.
+# (NXSIM_COVERAGE=ON) in which the `session`-, `load`-, `codec`-,
+# `concurrency`- and `model`-labeled ctest suites have already run, so
+# the .gcda counters exist. Runs gcov over each listed source file and
+# fails when its executed-line percentage falls below the checked-in
+# minimum in tools/coverage_baseline.txt — a one-way ratchet: raise the
+# baseline when coverage improves, never lower it to make a regression
+# pass.
 #
 # Usage: tools/coverage_gate.sh [build-dir]   (default: build-coverage)
 set -eu

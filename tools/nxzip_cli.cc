@@ -12,11 +12,13 @@
  * model and print the modelled device time, smaller ones and `-m sw`
  * run on the software codec.
  *
- * `-j N` routes the request through core::JobServer with N engine
- * workers: the input is split into ~1 MiB chunks (compress) or gzip
- * members (decompress), each chunk dispatched asynchronously to the
- * pool, and the members reassembled in paste order — the pigz shape.
- * gunzip accepts the resulting multi-member concatenation.
+ * `-j N` routes a compress through core::JobServer with N engine
+ * workers: the input is split into ~1 MiB chunks, each chunk
+ * dispatched asynchronously to the pool, and the members reassembled
+ * in paste order — the pigz shape. gunzip accepts the resulting
+ * multi-member concatenation. `-d -j N` reads like `-d`: a gzip file
+ * has no index of its members, so finding where each one ends means
+ * inflating the file, which is the whole job.
  */
 
 #include <algorithm>
@@ -30,7 +32,6 @@
 #include "core/job_server.h"
 #include "core/session.h"
 #include "core/topology.h"
-#include "deflate/gzip_stream.h"
 #include "util/checked.h"
 #include "util/table.h"
 
@@ -66,56 +67,30 @@ usage()
 }
 
 /**
- * The -j path: chunk the request, paste every chunk into the
- * JobServer's windows with the RC-busy retry loop, reassemble in paste
- * order, and report the modelled parallel time (busiest engine) plus
- * the backpressure the run generated.
+ * The -j compress path: chunk the input, paste every chunk into the
+ * JobServer's windows with the RC-busy retry loop, reassemble the
+ * members in paste order, and report the modelled parallel time
+ * (busiest engine) plus the backpressure the run generated.
  */
 int
-runParallel(bool decompress, int workers, const core::ChipTopology &topo,
-            core::Mode mode, const std::vector<uint8_t> &input,
-            const std::string &outPath)
+runParallel(int workers, const core::ChipTopology &topo, core::Mode mode,
+            const std::vector<uint8_t> &input, const std::string &outPath)
 {
     std::vector<core::JobSpec> specs;
-    if (decompress) {
-        // Split on gzip member boundaries; each member inflates
-        // independently on its own engine. (The boundary scan inflates
-        // once on the host; the engines then do the modelled work.)
-        std::vector<size_t> ends;
-        {
-            auto file = deflate::gzipUnwrap(input);
-            if (!file.ok) {
-                std::fprintf(stderr, "nxzip: %s\n", file.error.c_str());
-                return 1;
-            }
-            ends = std::move(file.memberEnds);
-        }
-        size_t off = 0;
-        for (size_t end : ends) {
-            core::JobSpec s;
-            s.kind = core::JobKind::Decompress;
-            s.payload.assign(
-                input.begin() + nx::checked_cast<std::ptrdiff_t>(off),
-                input.begin() + nx::checked_cast<std::ptrdiff_t>(end));
-            specs.push_back(std::move(s));
-            off = end;
-        }
-    } else {
-        const size_t kChunk = size_t{1} << 20;
-        size_t off = 0;
-        do {    // do/while so empty input still emits one member
-            size_t n = std::min(kChunk, input.size() - off);
-            core::JobSpec s;
-            s.kind = core::JobKind::Compress;
-            s.mode = mode;
-            s.payload.assign(input.begin() +
-                                 nx::checked_cast<std::ptrdiff_t>(off),
-                             input.begin() +
-                                 nx::checked_cast<std::ptrdiff_t>(off + n));
-            specs.push_back(std::move(s));
-            off += n;
-        } while (off < input.size());
-    }
+    const size_t kChunk = size_t{1} << 20;
+    size_t off = 0;
+    do {    // do/while so empty input still emits one member
+        size_t n = std::min(kChunk, input.size() - off);
+        core::JobSpec s;
+        s.kind = core::JobKind::Compress;
+        s.mode = mode;
+        s.payload.assign(input.begin() +
+                             nx::checked_cast<std::ptrdiff_t>(off),
+                         input.begin() +
+                             nx::checked_cast<std::ptrdiff_t>(off + n));
+        specs.push_back(std::move(s));
+        off += n;
+    } while (off < input.size());
 
     core::JobServerConfig jcfg;
     jcfg.workers = workers;
@@ -158,10 +133,9 @@ runParallel(bool decompress, int workers, const core::ChipTopology &topo,
     }
     double seconds = st.modelledSeconds(topo.accel);
     std::fprintf(stderr,
-        "nxzip: %s %zu -> %zu bytes (parallel x%d, %zu jobs, "
+        "nxzip: compressed %zu -> %zu bytes (parallel x%d, %zu jobs, "
         "%llu busy-rejects, %s modelled, %.1f us)\n",
-        decompress ? "decompressed" : "compressed", input.size(),
-        out.size(), srv.workerCount(), specs.size(),
+        input.size(), out.size(), srv.workerCount(), specs.size(),
         static_cast<unsigned long long>(st.busyRejects),
         util::Table::fmtRate(seconds > 0
             ? static_cast<double>(input.size()) / seconds
@@ -243,8 +217,8 @@ main(int argc, char **argv)
                          "runs on the core)\n");
             return usage();
         }
-        return runParallel(decompress, jobs, topo, pol.mode, input,
-                           files[1]);
+        if (!decompress)
+            return runParallel(jobs, topo, pol.mode, input, files[1]);
     }
 
     nx::Session sess(topo.accel, pol);
