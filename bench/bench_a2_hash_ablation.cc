@@ -52,8 +52,8 @@ main()
                    util::Table::fmt(ratio)});
         }
     }
-    t.note("shipped point: 2^12-13 sets x 4 ways — past that, ratio "
-           "gains flatten while SRAM doubles");
+    t.note("shipped point: 2^12-13 sets x 8 ways — past that, ratio "
+           "gains flatten while SRAM doubles per index bit");
     t.print();
     return 0;
 }

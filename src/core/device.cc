@@ -1,11 +1,11 @@
 #include "core/device.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "deflate/deflate_encoder.h"
 #include "deflate/framing.h"
 #include "util/checked.h"
+#include "util/clock.h"
 
 namespace core {
 
@@ -94,17 +94,8 @@ NxDevice::decompress(std::span<const uint8_t> stream, nx::Framing framing,
                             seq_++);
 }
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-} // namespace
+using util::Clock;
+using util::secondsSince;
 
 JobResult
 SoftwareCodec::compress(std::span<const uint8_t> source,

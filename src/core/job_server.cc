@@ -3,19 +3,15 @@
 #include <algorithm>
 
 #include "util/checked.h"
+#include "util/clock.h"
 #include "util/contracts.h"
 
 namespace core {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using util::Clock;
+using util::secondsSince;
 
 /** Run one 842 job on @p eng, shaped like the DEFLATE JobResult. */
 JobResult
@@ -249,36 +245,16 @@ JobServer::workerLoop(int w)
     }
 }
 
-JobServer::Slot &
-JobServer::claimableLocked(Ticket t)
-{
-    auto it = slots_.find(t);
-    NXSIM_EXPECT(it != slots_.end(), "ticket already claimed");
-    NXSIM_EXPECT(it->second.waiter == nullptr && drainers_ == 0,
-                 "ticket already being waited on");
-    return it->second;
-}
-
-bool
-JobServer::poll(Ticket t, AsyncJob *out)
-{
-    nx::MutexLock lk(mu_);
-    NXSIM_EXPECT(t != 0 && t < nextTicket_, "poll of an unknown ticket");
-    Slot &slot = claimableLocked(t);
-    if (!slot.done)
-        return false;
-    if (out != nullptr)
-        *out = std::move(slot.job);
-    slots_.erase(t);
-    return true;
-}
-
 AsyncJob
 JobServer::wait(Ticket t)
 {
     nx::MutexLock lk(mu_);
     NXSIM_EXPECT(t != 0 && t < nextTicket_, "wait on an unknown ticket");
-    Slot &slot = claimableLocked(t);
+    auto it = slots_.find(t);
+    NXSIM_EXPECT(it != slots_.end(), "ticket already claimed");
+    Slot &slot = it->second;
+    NXSIM_EXPECT(slot.waiter == nullptr && drainers_ == 0,
+                 "ticket already being waited on");
     nx::CondVar completed;
     slot.waiter = &completed;
     while (!slot.done)

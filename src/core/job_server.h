@@ -40,9 +40,12 @@
  * Thread-safety: every public method may be called from any thread.
  * Shutdown (drainAndStop or destruction) completes every accepted job
  * — a saturated server drains cleanly with no lost or double-completed
- * tickets. Each ticket has one claimant: a wait, poll or drain that
- * would claim a ticket another thread is already waiting on is a
- * contract violation, not a second sleeper that never wakes.
+ * tickets. Each ticket has one claimant: a wait or drain that would
+ * claim a ticket another thread is already waiting on is a contract
+ * violation, not a second sleeper that never wakes. The ticket
+ * lifecycle is annotated with NXSIM_ACQUIRES/RELEASES(job_ticket) and
+ * checked by nxown; the server's own call order is an nxstate
+ * protocol.
  *
  * The lock discipline is stated in the types (util/thread_annotations.h)
  * and machine-checked by the `clang-tsa` preset: everything mu_
@@ -208,9 +211,6 @@ struct JobServerStats
 
 /** The dispatch layer. Non-copyable; owns its worker threads. */
 NXSIM_PROTOCOL(JobServer, {submitAsync|submitWithRetry}* -> drainAndStop+);
-NXSIM_TICKET_PROTOCOL(JobServer, issue(submitAsync, submitWithRetry),
-                      claim(wait), poll(poll), drain(drain),
-                      stop(drainAndStop));
 class JobServer
 {
   public:
@@ -242,21 +242,16 @@ class JobServer
         NXSIM_ACQUIRES(job_ticket);
 
     /**
-     * Non-blocking completion check. Returns true once @p t has
-     * completed, moving the record into @p out (when non-null); each
-     * ticket can be claimed exactly once across poll/wait/drain.
+     * Block until @p t completes and claim it; wakes only this thread.
+     * Each ticket is claimed exactly once, by wait() or drain().
      */
-    [[nodiscard]] bool poll(Ticket t, AsyncJob *out = nullptr)
-        NXSIM_EXCLUDES(mu_);
-
-    /** Block until @p t completes and claim it; wakes only this thread. */
     [[nodiscard]] AsyncJob wait(Ticket t) NXSIM_EXCLUDES(mu_)
         NXSIM_RELEASES(job_ticket);
 
     /**
      * Batch drain: block until every accepted job has completed, then
      * claim all still-unclaimed records, sorted by ticket. No wait()
-     * or poll() may overlap it.
+     * may overlap it.
      */
     std::vector<AsyncJob> drain() NXSIM_EXCLUDES(mu_)
         NXSIM_RELEASES(job_ticket);
@@ -264,7 +259,7 @@ class JobServer
     /**
      * Stop accepting work (subsequent pastes return Closed), finish
      * every queued/in-flight job, and join the workers. Completed
-     * records stay claimable via poll/drain. Idempotent; the
+     * records stay claimable via wait/drain. Idempotent; the
      * destructor calls it.
      */
     void drainAndStop() NXSIM_EXCLUDES(mu_) NXSIM_RELEASES(job_ticket);
@@ -301,8 +296,6 @@ class JobServer
     [[nodiscard]] SubmitResult paste(JobSpec &spec, int window)
         NXSIM_EXCLUDES(mu_);
     void workerLoop(int w) NXSIM_EXCLUDES(mu_);
-    /** The slot of issued ticket @p t; it must be unclaimed and unwaited. */
-    [[nodiscard]] Slot &claimableLocked(Ticket t) NXSIM_REQUIRES(mu_);
 
     // Immutable after construction (workers are spawned last, so every
     // thread observes the finished setup): safe to read without mu_.

@@ -1,24 +1,14 @@
 #include "core/session.h"
 
-#include <chrono>
-
 #include "e842/e842.h"
 #include "util/checked.h"
+#include "util/clock.h"
 #include "util/contracts.h"
 
 namespace nx {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-} // namespace
+using util::Clock;
+using util::secondsSince;
 
 const char *
 toString(SessionFormat f)

@@ -1,23 +1,13 @@
 #include "deflate/host_cal.h"
 
-#include <chrono>
-
 #include "deflate/deflate_encoder.h"
 #include "deflate/inflate_decoder.h"
+#include "util/clock.h"
 
 namespace deflate {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-} // namespace
+using util::Clock;
+using util::secondsSince;
 
 SwCodecRates
 measureSoftwareRates(std::span<const uint8_t> sample,

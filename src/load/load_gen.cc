@@ -6,19 +6,15 @@
 #include <thread>
 
 #include "util/checked.h"
+#include "util/clock.h"
 #include "util/contracts.h"
 
 namespace load {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using util::Clock;
+using util::secondsSince;
 
 /** FNV-1a fold of one 64-bit value. */
 uint64_t

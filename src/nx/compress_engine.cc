@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
+#include "deflate/deflate_encoder.h"
 #include "deflate/framing.h"
-#include "util/bitstream.h"
-#include "util/checked.h"
 
 namespace nx {
 
@@ -13,37 +12,6 @@ CompressEngine::CompressEngine(const NxConfig &cfg)
       dmaIn_(cfg.dmaIn), dmaOut_(cfg.dmaOut)
 {
 }
-
-namespace {
-
-/** Emit stored blocks for the Wrap function code. */
-EncodeResult
-encodeStored(std::span<const uint8_t> data, const NxConfig &cfg)
-{
-    EncodeResult res;
-    util::BitWriter bw;
-    size_t off = 0;
-    do {
-        size_t n = std::min<size_t>(data.size() - off, 65535);
-        bool final = off + n >= data.size();
-        bw.writeBits(final ? 1 : 0, 1);
-        bw.writeBits(0, 2);
-        bw.alignToByte();
-        auto len = nx::checked_cast<uint16_t>(n);
-        bw.writeU16le(len);
-        bw.writeU16le(nx::truncate_cast<uint16_t>(~len));
-        bw.writeBytes(data.subspan(off, n));
-        off += n;
-    } while (off < data.size());
-    res.bits = bw.bitsWritten();
-    res.bytes = bw.take();
-    // Stored blocks drain at the output DMA width, not the bit packer.
-    res.cycles = sim::ceilDiv(res.bytes.size(),
-        static_cast<uint64_t>(cfg.compressBytesPerCycle));
-    return res;
-}
-
-} // namespace
 
 CompressJobResult
 CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
@@ -64,7 +32,15 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
 
     EncodeResult enc;
     if (crb.func == FuncCode::Wrap) {
-        enc = encodeStored(source, cfg_);
+        // One level-0 block covering the input: the software encoder's
+        // stored-block writer cuts it into 65,535-byte pieces.
+        enc.bytes = deflate::deflateCompress(
+            source, {.level = 0,
+                     .blockBytes = std::max<size_t>(source.size(), 1)})
+                        .bytes;
+        // Stored blocks drain at the output DMA width, not the bit packer.
+        enc.cycles = sim::ceilDiv(enc.bytes.size(),
+            static_cast<uint64_t>(cfg_.compressBytesPerCycle));
         job.timing.match = sim::ceilDiv(source.size(),
             static_cast<uint64_t>(cfg_.compressBytesPerCycle));
     } else {

@@ -8,9 +8,11 @@
  * outcome path — including the busy-exhaustion fallback, the
  * translation-fault resubmit ladder, and early returns. JobServer
  * tickets follow the same discipline (issued by submit, consumed by
- * exactly one wait/drain). `tools/nxown` checks that discipline
- * per function over a path-sensitive CFG walk; these macros declare
- * which calls move a resource between states.
+ * exactly one wait/drain), and nxown is their only checker: a copy
+ * (`auto u = t;`) names the same handle, so a wait through either
+ * name claims both. `tools/nxown` checks that discipline per function
+ * over a path-sensitive CFG walk; these macros declare which calls
+ * move a resource between states.
  *
  * Each macro takes a *tag* naming the resource class (an identifier,
  * e.g. `pool_buffer`, `job_ticket`); acquire/release pairs match only
@@ -34,10 +36,10 @@
  * NXSIM_RELEASES(tag)   — the call consumes one unit. On a destructor
  *                         it marks the class as an RAII holder; with
  *                         no arguments on a method of an acquiring
- *                         class it drains *all* handles from that
- *                         source (JobServer::drainAndStop); releasing
+ *                         class it drains *all* live handles of the
+ *                         tag (JobServer::drainAndStop); releasing
  *                         twice is own-double-release, releasing a
- *                         never-acquired handle is
+ *                         handle already transferred away is
  *                         own-release-unacquired.
  * NXSIM_TRANSFERS(tag)  — the call passes ownership elsewhere (into a
  *                         queue, another thread, the caller); the

@@ -4,10 +4,12 @@
  *
  * A protocol names the legal call order of a class's mutating methods;
  * nxstate walks every function body in the tree and flags callers that
- * violate it (protocol-order, use-after-finish, double-finish,
- * ticket-double-claim). The macros expand to a harmless static_assert
- * so the compiler sees nothing but the analyzer sees a declarative
- * table right next to the class it governs.
+ * violate it (protocol-order, use-after-finish, double-finish). The
+ * macro expands to a harmless static_assert so the compiler sees
+ * nothing but the analyzer sees a declarative table right next to the
+ * class it governs. Handles claimed exactly once (JobServer tickets)
+ * are declared with the ownership macros of util/ownership.h and
+ * checked by nxown.
  *
  * Grammar (full description in tools/nxstate/nxstate.h):
  *
@@ -18,13 +20,6 @@
  *         method[Marker] matches only calls whose argument list
  *         mentions the identifier Marker, e.g. write[Finish] matches
  *         s.write(data, Flush::Finish, out).
- *
- *     NXSIM_TICKET_PROTOCOL(Class, issue(m...), claim(m...),
- *                           poll(m...), drain(m...), stop(m...))
- *         issue methods return a ticket (callers bind `r.ticket`);
- *         claim methods consume it exactly once; poll methods check it
- *         without consuming; drain methods claim every outstanding
- *         ticket of that object; stop methods shut the object down.
  *
  * Classes that must stay macro-free can use the comment form instead:
  *
@@ -37,9 +32,5 @@
 /** Declare the legal call order for one class. Analyzer-only. */
 #define NXSIM_PROTOCOL(Class, Spec) \
     static_assert(true, "nxstate protocol for " #Class)
-
-/** Declare the ticket lifecycle roles for one class. Analyzer-only. */
-#define NXSIM_TICKET_PROTOCOL(Class, ...) \
-    static_assert(true, "nxstate ticket protocol for " #Class)
 
 #endif // NXSIM_UTIL_PROTOCOL_H

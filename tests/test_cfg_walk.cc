@@ -215,6 +215,38 @@ TEST(CfgWalk, ReturnInsideALoopDoesNotReachTheCodeAfterIt)
     EXPECT_TRUE(walk("do { A(); return; } while (c); D();").ended);
 }
 
+TEST(CfgWalk, InlineLambdaIsPartOfItsStatement)
+{
+    // The lambda body is not control flow of the enclosing body: the
+    // statement holding it reaches `statement` as one range, and its
+    // `return` ends neither the path nor the loop pass around it.
+    std::vector<Token> t = nxcommon::mergeOperators(
+        nxlex::Lexer("A(); F([&] { if (c) return; B(); }); D();").run());
+    struct Ranges : PathAnalysis
+    {
+        std::vector<std::pair<size_t, size_t>> seen;
+
+        void
+        statement(size_t b, size_t e, Paths &st)
+        {
+            seen.emplace_back(b, e);
+            PathAnalysis::statement(b, e, st);
+        }
+    } a{{t, {}}, {}};
+    Paths paths{""};
+    EXPECT_FALSE(CfgWalk<Ranges>(t, a).walk(0, t.size(), paths));
+    EXPECT_EQ(paths, (Paths{"AFD"}));
+    ASSERT_EQ(a.seen.size(), 3u);
+    EXPECT_EQ(t[a.seen[1].first].text, "F");
+    EXPECT_EQ(t[a.seen[1].second].text, ";");
+    EXPECT_EQ(t[a.seen[1].second - 1].text, ")");
+    EXPECT_TRUE(a.heads.empty());
+
+    EXPECT_EQ(walk("while (x) { A(); F([&] { if (c) return; B(); }); } D();")
+                  .paths,
+              (Paths{"D", "AFD", "AFAFD"}));
+}
+
 TEST(CfgWalk, BreakAndContinueTargetTheInnermostConstruct)
 {
     // The loop's break leaves the loop, not the switch around it.

@@ -409,8 +409,7 @@ TEST(JobServerBackpressure, SaturatedServerDrainsCleanlyOnShutdown)
     // exactly once, and drain() afterwards finds nothing left.
     std::set<Ticket> seen;
     for (Ticket t : tickets) {
-        AsyncJob done;
-        ASSERT_TRUE(srv.poll(t, &done));
+        AsyncJob done = srv.wait(t);
         EXPECT_TRUE(done.result.ok());
         EXPECT_TRUE(seen.insert(done.ticket).second);
     }
@@ -673,14 +672,14 @@ TEST(JobServerDeathTest, WaitAfterWaitAborts)
         "ticket already claimed");
 }
 
-TEST(JobServerDeathTest, PollAfterDrainAborts)
+TEST(JobServerDeathTest, WaitAfterDrainAborts)
 {
     EXPECT_DEATH(
         {
             JobServer srv(testChip());
             Ticket t = pasteOne(srv);
             (void)srv.drain();
-            (void)srv.poll(t);
+            (void)srv.wait(t);
         },
         "ticket already claimed");
 }
@@ -696,7 +695,7 @@ TEST(JobServerDeathTest, UnissuedTicketsAbort)
     EXPECT_DEATH(
         {
             JobServer srv(testChip());
-            (void)srv.poll(1);    // nothing issued yet
+            (void)srv.wait(1);    // nothing issued yet
         },
         "unknown ticket");
     EXPECT_DEATH(

@@ -423,6 +423,119 @@ TEST(NxownRelease, UnknownCalleeIsNeverAFinding)
 }
 
 // ---------------------------------------------------------------------------
+// tickets: JobServer's vocabulary, claimed exactly once
+// ---------------------------------------------------------------------------
+
+/** submit() issues a ticket, wait() claims one, drain() and stop()
+ * claim every outstanding one — JobServer's annotations. */
+const char *kTicketDecl =
+    "struct Srv {\n"
+    "    Result submit(Spec s) NXSIM_ACQUIRES(job_ticket);\n"
+    "    Job wait(Ticket t) NXSIM_RELEASES(job_ticket);\n"
+    "    std::vector<Job> drain() NXSIM_RELEASES(job_ticket);\n"
+    "    void stop() NXSIM_RELEASES(job_ticket);\n"
+    "};\n";
+
+TEST(NxownTicket, WaitOnceIsClean)
+{
+    auto fs = run("void f(Srv &srv) {\n"
+                  "    auto r = srv.submit(spec);\n"
+                  "    srv.wait(r.ticket);\n"
+                  "}\n",
+                  kTicketDecl);
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxownTicket, DoubleWaitFires)
+{
+    auto fs = run("void f(Srv &srv) {\n"
+                  "    auto r = srv.submit(spec);\n"
+                  "    srv.wait(r.ticket);\n"
+                  "    srv.wait(r.ticket);\n"
+                  "}\n",
+                  kTicketDecl);
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-double-release");
+    EXPECT_EQ(fs[0].line, 10);   // second wait (decls occupy lines 1-6)
+}
+
+TEST(NxownTicket, WaitAfterDrainFires)
+{
+    auto fs = run("void f(Srv &srv) {\n"
+                  "    auto r = srv.submit(spec);\n"
+                  "    srv.drain();\n"
+                  "    srv.wait(r.ticket);\n"
+                  "}\n",
+                  kTicketDecl);
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-double-release");
+    EXPECT_EQ(fs[0].line, 10);
+}
+
+TEST(NxownTicket, ClaimedBeforeDrainStaysClean)
+{
+    auto fs = run("void f(Srv &srv) {\n"
+                  "    auto r = srv.submit(spec);\n"
+                  "    srv.wait(r.ticket);\n"
+                  "    srv.drain();\n"
+                  "}\n",
+                  kTicketDecl);
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxownTicket, AliasIsTracked)
+{
+    // `auto u = t;` copies the ticket: the wait through t claims u too.
+    auto fs = run("void f(Srv &srv) {\n"
+                  "    auto t = srv.submit(spec).ticket;\n"
+                  "    auto u = t;\n"
+                  "    srv.wait(t);\n"
+                  "    srv.wait(u);\n"
+                  "}\n",
+                  kTicketDecl);
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-double-release");
+    EXPECT_EQ(fs[0].line, 11);
+}
+
+TEST(NxownTicket, ClaimThroughTheCopyClaimsTheOriginal)
+{
+    // The member path of a bound result copies it as well
+    // (`Ticket t = r.ticket;`), and claiming the copy leaves nothing
+    // held at the exit.
+    auto fs = run("void f(Srv &srv) {\n"
+                  "    auto r = srv.submit(spec);\n"
+                  "    Ticket t = r.ticket;\n"
+                  "    srv.wait(t);\n"
+                  "}\n",
+                  kTicketDecl);
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxownTicket, TwoTicketsAreIndependent)
+{
+    auto fs = run("void f(Srv &srv) {\n"
+                  "    auto a = srv.submit(s1);\n"
+                  "    auto b = srv.submit(s2);\n"
+                  "    srv.wait(a.ticket);\n"
+                  "    srv.wait(b.ticket);\n"
+                  "}\n",
+                  kTicketDecl);
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxownTicket, WaitInBranchThenJoinStaysClean)
+{
+    auto fs = run("void f(Srv &srv, bool c) {\n"
+                  "    auto r = srv.submit(spec);\n"
+                  "    if (c) srv.wait(r.ticket);\n"
+                  "    else srv.wait(r.ticket);\n"
+                  "}\n",
+                  kTicketDecl);
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+// ---------------------------------------------------------------------------
 // derived cross-function summaries
 // ---------------------------------------------------------------------------
 

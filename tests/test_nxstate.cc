@@ -3,8 +3,8 @@
  * Drives nxstate (tools/nxstate) on small in-memory fixture trees:
  * protocol declaration parsing (macro and comment forms, conflicts,
  * malformed specs), the CFG walker's must-violation semantics across
- * branches and loops, ticket lifecycle tracking, lock-order cycle
- * detection, and the shared suppression grammar. The real-tree
+ * branches and loops, lock-order cycle detection, and the shared
+ * suppression grammar. The real-tree
  * invocation (which must be clean) runs both here and as the separate
  * `nxstate` ctest.
  */
@@ -103,10 +103,9 @@ TEST(NxstateDecl, MalformedSpecIsReported)
     std::vector<SourceFile> files;
     files.push_back({"src/a.h",
                      "// nxstate: protocol(Bad: open ->)\n"
-                     "NXSIM_PROTOCOL(AlsoBad, -> write);\n"
-                     "NXSIM_TICKET_PROTOCOL(T, bogusrole(x));\n"});
+                     "NXSIM_PROTOCOL(AlsoBad, -> write);\n"});
     auto fs = analyzeFiles(files).findings;
-    ASSERT_EQ(fs.size(), 3u) << dump(fs);
+    ASSERT_EQ(fs.size(), 2u) << dump(fs);
     for (const Finding &f : fs)
         EXPECT_EQ(f.rule, "protocol-decl");
 }
@@ -365,96 +364,6 @@ TEST(NxstateCfg, BreakInsideACaseReachesTheCodeAfterTheSwitch)
                   "    }\n"
                   "    s.write(d);\n"
                   "}\n");
-    EXPECT_TRUE(fs.empty()) << dump(fs);
-}
-
-// ---------------------------------------------------------------------------
-// tickets
-// ---------------------------------------------------------------------------
-
-const char *kTicketDecl =
-    "NXSIM_TICKET_PROTOCOL(Srv, issue(submit), claim(wait), poll(poll), "
-    "drain(drain), stop(stop));\n";
-
-TEST(NxstateTicket, WaitOnceIsClean)
-{
-    auto fs = run("void f(Srv &srv) {\n"
-                  "    auto r = srv.submit(spec);\n"
-                  "    srv.poll(r.ticket);\n"
-                  "    srv.wait(r.ticket);\n"
-                  "}\n",
-                  kTicketDecl);
-    EXPECT_TRUE(fs.empty()) << dump(fs);
-}
-
-TEST(NxstateTicket, DoubleWaitFires)
-{
-    auto fs = run("void f(Srv &srv) {\n"
-                  "    auto r = srv.submit(spec);\n"
-                  "    srv.wait(r.ticket);\n"
-                  "    srv.wait(r.ticket);\n"
-                  "}\n",
-                  kTicketDecl);
-    ASSERT_TRUE(fired(fs, "ticket-double-claim")) << dump(fs);
-    EXPECT_EQ(fs[0].line, 6);   // second wait (decls occupy lines 1-2)
-}
-
-TEST(NxstateTicket, PollAfterDrainFires)
-{
-    auto fs = run("void f(Srv &srv) {\n"
-                  "    auto r = srv.submit(spec);\n"
-                  "    srv.drain();\n"
-                  "    srv.poll(r.ticket);\n"
-                  "}\n",
-                  kTicketDecl);
-    EXPECT_TRUE(fired(fs, "ticket-double-claim")) << dump(fs);
-}
-
-TEST(NxstateTicket, ClaimedBeforeDrainStaysClean)
-{
-    auto fs = run("void f(Srv &srv) {\n"
-                  "    auto r = srv.submit(spec);\n"
-                  "    srv.wait(r.ticket);\n"
-                  "    srv.drain();\n"
-                  "}\n",
-                  kTicketDecl);
-    EXPECT_TRUE(fs.empty()) << dump(fs);
-}
-
-TEST(NxstateTicket, AliasIsTracked)
-{
-    auto fs = run("void f(Srv &srv) {\n"
-                  "    auto t = srv.submit(spec).ticket;\n"
-                  "    auto u = t;\n"
-                  "    srv.wait(t);\n"
-                  "    srv.wait(u);\n"
-                  "}\n",
-                  kTicketDecl);
-    EXPECT_TRUE(fired(fs, "ticket-double-claim")) << dump(fs);
-}
-
-TEST(NxstateTicket, TwoTicketsAreIndependent)
-{
-    auto fs = run("void f(Srv &srv) {\n"
-                  "    auto a = srv.submit(s1);\n"
-                  "    auto b = srv.submit(s2);\n"
-                  "    srv.wait(a.ticket);\n"
-                  "    srv.wait(b.ticket);\n"
-                  "}\n",
-                  kTicketDecl);
-    EXPECT_TRUE(fs.empty()) << dump(fs);
-}
-
-TEST(NxstateTicket, WaitInBranchThenJoinStaysClean)
-{
-    // Claimed on only one path: not claimed on every path, so the
-    // later wait is not a must-double-claim.
-    auto fs = run("void f(Srv &srv, bool c) {\n"
-                  "    auto r = srv.submit(spec);\n"
-                  "    if (c) srv.wait(r.ticket);\n"
-                  "    else srv.wait(r.ticket);\n"
-                  "}\n",
-                  kTicketDecl);
     EXPECT_TRUE(fs.empty()) << dump(fs);
 }
 

@@ -379,6 +379,119 @@ TEST(NxtaintSanitizer, LoopBoundSanitizedByPriorCheckIsClean)
 }
 
 // ---------------------------------------------------------------------------
+// path-sensitive flow (the shared CFG walker)
+// ---------------------------------------------------------------------------
+
+TEST(NxtaintFlow, CheckOnOneBranchDoesNotSanitizeAfterTheJoin)
+{
+    // The path that skips the outer if reaches the store unchecked.
+    auto fs = analyzeFile(
+        "src/deflate/x.cc",
+        "void f(util::BitReader &br, uint8_t *buf, bool c) {\n"
+        "    unsigned n = br.readBits(8);\n"
+        "    if (c) {\n"
+        "        if (n >= 16)\n"
+        "            return;\n"
+        "    }\n"
+        "    buf[n] = 0;\n"
+        "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "taint-index");
+    EXPECT_EQ(fs[0].line, 7);
+}
+
+TEST(NxtaintFlow, CheckOnBothBranchesSanitizes)
+{
+    auto fs = analyzeFile(
+        "src/deflate/x.cc",
+        "void f(util::BitReader &br, uint8_t *buf, bool c) {\n"
+        "    unsigned n = br.readBits(8);\n"
+        "    if (c)\n"
+        "        NXSIM_EXPECT(n < 16, \"in range\");\n"
+        "    else if (n >= 16)\n"
+        "        return;\n"
+        "    buf[n] = 0;\n"
+        "}\n");
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxtaintFlow, ReadAtTheEndOfAnIterationIsFlaggedAtTheTopOfTheNext)
+{
+    auto fs = analyzeFile(
+        "src/deflate/x.cc",
+        "void f(util::BitReader &br, uint8_t *buf, int k) {\n"
+        "    unsigned n = 0;\n"
+        "    while (k-- > 0) {\n"
+        "        buf[n] = 0;\n"
+        "        n = br.readBits(8);\n"
+        "    }\n"
+        "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "taint-index");
+    EXPECT_EQ(fs[0].line, 4);
+    EXPECT_NE(fs[0].message.find("tainted at line 5"), std::string::npos)
+        << fs[0].message;
+}
+
+TEST(NxtaintFlow, InlineLambdaKeepsItsCheckThenIndexReading)
+{
+    // e842::decompress's readI2/readI4 shape: read, check, index — all
+    // inside the lambda body.
+    auto fs = analyzeFile(
+        "src/e842/x.cc",
+        "void f(util::BitReader &br, const uint16_t *ring, bool &bad) {\n"
+        "    auto readI2 = [&](uint8_t *dst) {\n"
+        "        uint32_t idx = br.readBits(8);\n"
+        "        if (idx >= kRing2)\n"
+        "            bad = true;\n"
+        "        uint16_t v = ring[idx];\n"
+        "        std::memcpy(dst, &v, 2);\n"
+        "    };\n"
+        "    readI2(nullptr);\n"
+        "}\n");
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxtaintFlow, InlineLambdaIndexWithoutTheCheckFires)
+{
+    auto fs = analyzeFile(
+        "src/e842/x.cc",
+        "void f(util::BitReader &br, const uint16_t *ring) {\n"
+        "    auto readI2 = [&](uint16_t *d) { *d = ring[br.readBits(8)]; };\n"
+        "    auto readI4 = [&](uint16_t *dst) {\n"
+        "        uint32_t idx = br.readBits(8);\n"
+        "        *dst = ring[idx];\n"
+        "    };\n"
+        "    (void)readI2;\n"
+        "    (void)readI4;\n"
+        "}\n");
+    ASSERT_EQ(fs.size(), 2u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "taint-index");
+    EXPECT_EQ(fs[0].line, 2);
+    EXPECT_EQ(fs[1].rule, "taint-index");
+    EXPECT_EQ(fs[1].line, 5);
+}
+
+TEST(NxtaintFlow, LambdaBodyTaintStaysInsideTheLambda)
+{
+    // The lambda runs later, if at all: its locals and its checks do
+    // not leak into the enclosing body.
+    auto fs = analyzeFile(
+        "src/e842/x.cc",
+        "void f(util::BitReader &br, const uint16_t *ring) {\n"
+        "    unsigned n = br.readBits(8);\n"
+        "    auto check = [&] {\n"
+        "        if (n >= 16)\n"
+        "            return;\n"
+        "    };\n"
+        "    check();\n"
+        "    (void)ring[n];\n"
+        "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].line, 8);
+}
+
+// ---------------------------------------------------------------------------
 // the deliberately vulnerable fixture
 // ---------------------------------------------------------------------------
 

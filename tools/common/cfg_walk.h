@@ -1,9 +1,10 @@
 /**
  * @file
  * The one path-sensitive CFG walker behind the body analyses (nxstate's
- * typestate check, nxown's ownership check). It walks a function body's
- * merged tokens (common/tokens.h) statement by statement and owns the
- * control flow; the analysis owns everything else. An analysis type
+ * typestate check, nxown's ownership check, nxtaint's taint check). It
+ * walks a function body's merged tokens (common/tokens.h) statement by
+ * statement and owns the control flow; the analysis owns everything
+ * else. An analysis type
  * @p A supplies:
  *
  *     using State = ...;                       // per-path state, copyable
@@ -35,6 +36,9 @@
  *     and a loop or switch no path leaves ends the path too.
  *   - A `catch` handler starts from the state at the end of the `try`
  *     block and joins it.
+ *   - An inline lambda's body is part of the statement that holds it:
+ *     its `return`s are not control flow of the enclosing body. An
+ *     analysis that looks inside walks it with a walker of its own.
  */
 
 #ifndef NXSIM_COMMON_CFG_WALK_H

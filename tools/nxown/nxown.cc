@@ -28,12 +28,13 @@
  *      maybe-findings.
  *
  * Deliberate under-approximations, all in the no-false-positive
- * direction: only simple `var = ...acquire...` bindings are tracked
- * (an acquire result that is not bound escapes untracked); a condition
- * or contract macro mentioning the handle marks it conditional and
- * exits stop counting as leaks; passing a handle whole to an unknown
- * callee transfers it; passing a member path (`f(r.ticket)`) is a
- * possible transfer and also marks the handle conditional.
+ * direction: only simple `var = ...acquire...` bindings and their
+ * copies (`var = handle`) are tracked (an acquire result that is not
+ * bound escapes untracked); a condition or contract macro mentioning
+ * the handle marks it conditional and exits stop counting as leaks;
+ * passing a handle whole to an unknown callee transfers it; passing a
+ * member path (`f(r.ticket)`) is a possible transfer and also marks
+ * the handle conditional.
  */
 
 #include "nxown/nxown.h"
@@ -311,7 +312,28 @@ struct Handle
     int line = 0;           ///< acquire line
 };
 
-using PathState = std::map<std::string, Handle>;
+/** The handles bound along one path, by variable. A copy
+ * (`auto u = t;`) names the handle it copies, so a release through
+ * either name releases both. */
+struct PathState
+{
+    std::map<std::string, Handle> handles;
+    std::map<std::string, std::string> copies;   ///< copy -> original
+
+    /** The handle @p name holds, directly or as a copy. */
+    std::map<std::string, Handle>::iterator
+    find(const std::string &name)
+    {
+        auto c = copies.find(name);
+        return handles.find(c == copies.end() ? name : c->second);
+    }
+
+    std::map<std::string, Handle>::iterator
+    end()
+    {
+        return handles.end();
+    }
+};
 
 class Walk
 {
@@ -349,10 +371,11 @@ class Walk
     join(const PathState &a, const PathState &b)
     {
         PathState out = a;
-        for (const auto &kv : b) {
-            auto it = out.find(kv.first);
-            if (it == out.end()) {
-                out.insert(kv);
+        out.copies.insert(b.copies.begin(), b.copies.end());
+        for (const auto &kv : b.handles) {
+            auto it = out.handles.find(kv.first);
+            if (it == out.handles.end()) {
+                out.handles.insert(kv);
             } else {
                 it->second.states |= kv.second.states;
                 it->second.guarded = it->second.guarded || kv.second.guarded;
@@ -427,9 +450,9 @@ class Walk
         }
     }
 
-    /** Track `var = ...acquire...` — the only binding shape followed.
-     * An acquire result that is never bound escapes untracked (the
-     * no-false-positive direction). */
+    /** Track `var = ...acquire...` and `var = handle` (a copy) — the
+     * only binding shapes followed. An acquire result that is never
+     * bound escapes untracked (the no-false-positive direction). */
     void
     bindAcquire(size_t b, size_t e, PathState &st)
     {
@@ -437,16 +460,22 @@ class Walk
                                 [&](size_t k) { return isPunct(t_, k, "="); });
         if (i == e || i == b || !isIdent(t_, i - 1))
             return;
+        const std::string &var = t_[i - 1].text;
         std::string tag, what;
         bool raii = false;
-        if (!findAcquire(i + 1, e, tag, raii, what))
+        if (!findAcquire(i + 1, e, tag, raii, what)) {
+            auto it = st.find(rootOf(simplePath(t_, i + 1, e)));
+            if (it != st.end() && it->first != var)
+                st.copies[var] = it->first;
             return;
+        }
         Handle h;
         h.tag = tag;
         h.raii = raii;
         h.what = what;
         h.line = t_[i - 1].line;
-        st[t_[i - 1].text] = std::move(h);
+        st.copies.erase(var);
+        st.handles[var] = std::move(h);
     }
 
     /** Is there an acquiring call in [b, e)? Annotated acquire
@@ -612,7 +641,7 @@ class Walk
     void
     drainTag(const std::string &tag, PathState &st)
     {
-        for (auto &[name, h] : st)
+        for (auto &[name, h] : st.handles)
             if (h.tag == tag)
                 h.states = kReleased;
     }
@@ -676,7 +705,7 @@ class Walk
     {
         if (sum_ != nullptr)
             return;
-        for (const auto &[name, h] : st) {
+        for (const auto &[name, h] : st.handles) {
             if ((h.states & kHeld) != 0 && !h.guarded && !h.raii)
                 report("own-leak", h.line,
                        "'" + name + "' acquired from " + h.what + " (" +

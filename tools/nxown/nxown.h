@@ -9,7 +9,8 @@
  * — a pinned pool buffer is acquired, pasted, and must come back on
  * the success path, the busy-exhaustion fallback, the translation-
  * fault resubmit ladder, and every early return; JobServer tickets
- * are issued by submit and consumed by exactly one wait/drain.
+ * are issued by submit and consumed by exactly one wait/drain. nxown
+ * is the one checker of that ticket lifecycle.
  *
  * The vocabulary lives in src/util/ownership.h:
  *
@@ -21,13 +22,15 @@
  * handles exit clean); RELEASES on a parameterless non-holder method
  * drains every live handle of the tag (JobServer::drainAndStop);
  * RELEASES with parameters consumes the handle rooted at an argument
- * (wait(sub.ticket) releases `sub`). NXSIM_TRANSFERS — and returning
- * a handle, std::move, or passing it whole to a function the analyzer
- * cannot see into — ends the local obligation without a release, so
- * unknown callees are never findings.
+ * (wait(sub.ticket) releases `sub`). A copy of a bound handle
+ * (`auto u = t;`, `Ticket t = sub.ticket;`) names the same handle, so
+ * a release through either name releases both. NXSIM_TRANSFERS — and
+ * returning a handle, std::move, or passing it whole to a function the
+ * analyzer cannot see into — ends the local obligation without a
+ * release, so unknown callees are never findings.
  *
  * Each function body is walked by the CFG walker shared with nxstate
- * (tools/common/cfg_walk.h: if/else forks and joins, loop bodies
+ * and nxtaint (tools/common/cfg_walk.h: if/else forks and joins, loop bodies
  * twice, switch cases entered from the head, early returns terminate
  * their path) tracking the *possible-state set* of every
  * handle. A leak fires when a path can exit still holding (exists-

@@ -7,11 +7,10 @@
  *
  *   1. Lex every file (tools/common/lexer.h), collect `nxstate:
  *      allow(...)` suppressions (tools/common/allow.h), and harvest
- *      protocol declarations — NXSIM_PROTOCOL / NXSIM_TICKET_PROTOCOL
- *      macro invocations in the merged token stream and `// nxstate:
- *      protocol(Class: spec)` comments in the raw one. Declarations
- *      are global: a class annotated in its header is enforced in
- *      every translation unit.
+ *      protocol declarations — NXSIM_PROTOCOL macro invocations in the
+ *      merged token stream and `// nxstate: protocol(Class: spec)`
+ *      comments in the raw one. Declarations are global: a class
+ *      annotated in its header is enforced in every translation unit.
  *   2. Find function bodies with the shared finder
  *      (nxcommon::findFunctions) and walk each one with the shared CFG
  *      walker (common/cfg_walk.h), keeping, per protocol-typed local,
@@ -22,16 +21,14 @@
  *      head's state, break/continue carry their state to their loop or
  *      switch, and early returns terminate their path. A finding
  *      fires only when EVERY possible phase rejects a call.
- *   3. Tickets (NXSIM_TICKET_PROTOCOL) are tracked by simple-path
- *      identity: `auto r = srv.submitAsync(spec)` makes `r.ticket` a
- *      ticket of server `srv`; wait() claims it exactly once, drain()
- *      claims every outstanding ticket of that server, and any
- *      claim/poll after that is a ticket-double-claim.
- *   4. Lock order: every RAII lock acquisition (nx::MutexLock,
+ *   3. Lock order: every RAII lock acquisition (nx::MutexLock,
  *      std::lock_guard/unique_lock/scoped_lock/shared_lock) pushes a
  *      scope entry; acquiring B while A is held adds the global edge
  *      A -> B. A cycle in the resulting graph is a potential deadlock
  *      (rule lock-cycle); --dot prints the graph.
+ *
+ * Handle lifecycles (a JobServer ticket claimed exactly once) are
+ * nxown's, from the NXSIM_ACQUIRES/RELEASES annotations.
  *
  * Everything is deliberately token-level — no compiler frontend, same
  * philosophy as nxlint/nxdeps/nxtaint — so soundness corner cases are
@@ -77,9 +74,6 @@ const std::vector<RuleInfo> kRules = {
     {"use-after-finish",
      "method called after the final phase consumed the object"},
     {"double-finish", "a once-only final phase entered twice"},
-    {"ticket-double-claim",
-     "a ticket claimed twice, or claimed/polled after drain() already "
-     "claimed it"},
     {"lock-cycle",
      "the global lock-acquisition graph has a cycle (potential "
      "deadlock)"},
@@ -119,23 +113,9 @@ struct Protocol
     int declLine = 0;
 };
 
-/** Ticket lifecycle roles for one issuing class. */
-struct TicketProtocol
-{
-    std::string cls;
-    std::set<std::string> issue;   ///< methods returning a ticket
-    std::set<std::string> claim;   ///< claim exactly once (wait)
-    std::set<std::string> poll;    ///< non-claiming check (poll)
-    std::set<std::string> drain;   ///< claims every outstanding ticket
-    std::set<std::string> stop;    ///< shutdown (records stay claimable)
-    std::string declFile;
-    int declLine = 0;
-};
-
 struct Tables
 {
-    std::map<std::string, Protocol> protos;          ///< by class name
-    std::map<std::string, TicketProtocol> tprotos;   ///< by class name
+    std::map<std::string, Protocol> protos;   ///< by class name
 };
 
 bool
@@ -276,17 +256,15 @@ registerProtocol(Tables &tb, Protocol &&p, std::vector<Finding> &raw)
     tb.protos.emplace(p.cls, std::move(p));
 }
 
-/** NXSIM_PROTOCOL / NXSIM_TICKET_PROTOCOL invocations (merged stream;
- * the #define in src/util/protocol.h is a Pp token, so only real
- * invocations are visible here). */
+/** NXSIM_PROTOCOL invocations (merged stream; the #define in
+ * src/util/protocol.h is a Pp token, so only real invocations are
+ * visible here). */
 void
 collectMacroProtocols(const std::vector<Token> &t, std::string_view file,
                       Tables &tb, std::vector<Finding> &raw)
 {
     for (size_t i = 0; i < t.size(); ++i) {
-        bool plain = isIdent(t, i, "NXSIM_PROTOCOL");
-        bool ticket = isIdent(t, i, "NXSIM_TICKET_PROTOCOL");
-        if ((!plain && !ticket) || !isPunct(t, i + 1, "("))
+        if (!isIdent(t, i, "NXSIM_PROTOCOL") || !isPunct(t, i + 1, "("))
             continue;
         int line = t[i].line;
         size_t close = matchForward(t, i + 1, '(', ')');
@@ -297,89 +275,24 @@ collectMacroProtocols(const std::vector<Token> &t, std::string_view file,
         }
         std::vector<std::pair<size_t, size_t>> parts;
         nxcommon::splitArgs(t, i + 2, close, parts);
-
-        if (plain) {
-            if (parts.size() != 2) {
-                raw.push_back(
-                    {std::string(file), line, "protocol-decl",
-                     "NXSIM_PROTOCOL needs exactly (Class, spec)"});
-                i = close;
-                continue;
-            }
-            Protocol p;
-            p.cls = lastIdentIn(t, parts[0].first, parts[0].second);
-            p.declFile = std::string(file);
-            p.declLine = line;
-            if (p.cls.empty() ||
-                !parseSpec(t, parts[1].first, parts[1].second, p)) {
-                raw.push_back({std::string(file), line, "protocol-decl",
-                               "malformed protocol spec for '" + p.cls +
-                                   "'"});
-                i = close;
-                continue;
-            }
-            p.pretty = prettySpec(p);
-            registerProtocol(tb, std::move(p), raw);
-        } else {
-            if (parts.size() < 2) {
-                raw.push_back({std::string(file), line, "protocol-decl",
-                               "NXSIM_TICKET_PROTOCOL needs (Class, "
-                               "role(methods)...)"});
-                i = close;
-                continue;
-            }
-            TicketProtocol tp;
-            tp.cls = lastIdentIn(t, parts[0].first, parts[0].second);
-            tp.declFile = std::string(file);
-            tp.declLine = line;
-            bool ok = !tp.cls.empty();
-            for (size_t k = 1; ok && k < parts.size(); ++k) {
-                size_t j = parts[k].first;
-                if (!isIdent(t, j) || !isPunct(t, j + 1, "(")) {
-                    ok = false;
-                    break;
-                }
-                std::string role = t[j].text;
-                size_t rc = matchForward(t, j + 1, '(', ')');
-                if (rc > parts[k].second) {
-                    ok = false;
-                    break;
-                }
-                std::set<std::string> *dst =
-                    role == "issue"   ? &tp.issue
-                    : role == "claim" ? &tp.claim
-                    : role == "poll"  ? &tp.poll
-                    : role == "drain" ? &tp.drain
-                    : role == "stop"  ? &tp.stop
-                                      : nullptr;
-                if (dst == nullptr) {
-                    ok = false;
-                    break;
-                }
-                for (size_t a = j + 2; a < rc; ++a)
-                    if (isIdent(t, a))
-                        dst->insert(t[a].text);
-            }
-            if (!ok) {
-                raw.push_back(
-                    {std::string(file), line, "protocol-decl",
-                     "malformed NXSIM_TICKET_PROTOCOL for '" + tp.cls +
-                         "' (roles: issue/claim/poll/drain/stop)"});
-                i = close;
-                continue;
-            }
-            auto it = tb.tprotos.find(tp.cls);
-            if (it != tb.tprotos.end()) {
-                raw.push_back(
-                    {std::string(file), line, "protocol-decl",
-                     "conflicting ticket protocol for '" + tp.cls +
-                         "' (already declared at " + it->second.declFile +
-                         ":" + std::to_string(it->second.declLine) + ")"});
-            } else {
-                tb.tprotos.emplace(tp.cls, std::move(tp));
-            }
-        }
         i = close;
+        if (parts.size() != 2) {
+            raw.push_back({std::string(file), line, "protocol-decl",
+                           "NXSIM_PROTOCOL needs exactly (Class, spec)"});
+            continue;
+        }
+        Protocol p;
+        p.cls = lastIdentIn(t, parts[0].first, parts[0].second);
+        p.declFile = std::string(file);
+        p.declLine = line;
+        if (p.cls.empty() ||
+            !parseSpec(t, parts[1].first, parts[1].second, p)) {
+            raw.push_back({std::string(file), line, "protocol-decl",
+                           "malformed protocol spec for '" + p.cls + "'"});
+            continue;
+        }
+        p.pretty = prettySpec(p);
+        registerProtocol(tb, std::move(p), raw);
     }
 }
 
@@ -472,16 +385,6 @@ const std::set<std::string, std::less<>> kLockTags = {
 // The typestate walker
 // ---------------------------------------------------------------------------
 
-/** Claim state of one issued ticket (must-semantics across joins). */
-struct TicketFlags
-{
-    bool claimed = false;
-    bool drained = false;          ///< drain() claimed it in batch
-    std::string server;            ///< receiver path that issued it
-    std::string drainedBy;
-    int issueLine = 0;
-};
-
 /** Everything tracked along one CFG path. */
 struct PathState
 {
@@ -489,8 +392,6 @@ struct PathState
     /** var -> possible (phase index, uses of that phase); phase -1 is
      * the virtual start state. */
     std::map<std::string, std::set<std::pair<int, int>>> vars;
-    std::map<std::string, int> ticketOf;   ///< simple path -> ticket id
-    std::vector<TicketFlags> tickets;      ///< by id (ids body-unique)
 };
 
 const std::set<std::string, std::less<>> kStmtKeywords = {
@@ -531,21 +432,6 @@ class BodyCheck
             auto &s = j.vars[kv.first];
             s.insert(kv.second.begin(), kv.second.end());
         }
-        for (const auto &kv : b.ticketOf)
-            j.ticketOf.emplace(kv.first, kv.second);
-        if (b.tickets.size() > j.tickets.size())
-            j.tickets.resize(b.tickets.size());
-        for (size_t i = 0; i < b.tickets.size(); ++i) {
-            TicketFlags &f = j.tickets[i];
-            const TicketFlags &g = b.tickets[i];
-            if (f.server.empty()) {
-                f = g;
-            } else {
-                // Must-semantics: flagged only when true on every path.
-                f.claimed = f.claimed && g.claimed;
-                f.drained = f.drained && g.drained;
-            }
-        }
         return j;
     }
 
@@ -565,16 +451,19 @@ class BodyCheck
     statement(size_t b, size_t e, PathState &st)
     {
         detectProtocolDecls(b, e, st);
-        detectTicketBindings(b, e, st);
         for (size_t i = b; i < e; ++i) {
             if (!isIdent(t_, i) || !isPunct(t_, i + 1, "("))
                 continue;
             if (i == b ||
                 !(isPunct(t_, i - 1, ".") || isPunct(t_, i - 1, "->")))
                 continue;
-            size_t close = std::min(matchForward(t_, i + 1, '(', ')'), e);
             std::string recv = nxcommon::receiverPath(t_, b, i - 1);
-            handleCall(recv, t_[i].text, i + 2, close, t_[i].line, st);
+            auto vit = st.protoOf.find(recv);
+            if (vit == st.protoOf.end())
+                continue;
+            size_t close = std::min(matchForward(t_, i + 1, '(', ')'), e);
+            transition(*vit->second, recv, t_[i].text, i + 2, close,
+                       t_[i].line, st);
         }
     }
 
@@ -603,114 +492,6 @@ class BodyCheck
             st.protoOf[var] = &pit->second;
             st.vars[var] = {{-1, 1}};   // virtual start state
         }
-    }
-
-    /** `auto r = srv.submitAsync(...)` binds `r.ticket` (or `r` when
-     * the statement ends `.ticket`) to a fresh ticket of server `srv`;
-     * `Ticket t = r.ticket;` aliases. */
-    void
-    detectTicketBindings(size_t b, size_t e, PathState &st)
-    {
-        for (size_t i = b; i < e; ++i) {
-            if (!isIdent(t_, i) || !isPunct(t_, i + 1, "="))
-                continue;
-            const std::string var = t_[i].text;
-            size_t j = i + 2;
-            size_t ps = j;
-            while (j < e &&
-                   (isIdent(t_, j) || isPunct(t_, j, ".") ||
-                    isPunct(t_, j, "->") || isPunct(t_, j, "::")))
-                ++j;
-            if (j < e && isPunct(t_, j, "(") && isIdent(t_, j - 1) &&
-                j >= 2 &&
-                (isPunct(t_, j - 2, ".") || isPunct(t_, j - 2, "->"))) {
-                const std::string &m = t_[j - 1].text;
-                const TicketProtocol *tp = nullptr;
-                for (const auto &kv : tb_.tprotos)
-                    if (kv.second.issue.count(m) != 0)
-                        tp = &kv.second;
-                if (tp == nullptr)
-                    continue;
-                std::string server = nxcommon::simplePath(t_, ps, j - 2);
-                if (server.empty())
-                    continue;
-                size_t close = matchForward(t_, j, '(', ')');
-                std::string tpath = var + ".ticket";
-                if (isPunct(t_, close + 1, ".") &&
-                    isIdent(t_, close + 2, "ticket"))
-                    tpath = var;
-                int id = static_cast<int>(st.tickets.size());
-                // Ids must be unique per body even across branches.
-                id = nextTicketId_++;
-                if (static_cast<size_t>(id) >= st.tickets.size())
-                    st.tickets.resize(static_cast<size_t>(id) + 1);
-                TicketFlags &tf = st.tickets[static_cast<size_t>(id)];
-                tf.server = server;
-                tf.issueLine = t_[i].line;
-                st.ticketOf[tpath] = id;
-            } else if (j <= e && (j == e || isPunct(t_, j, ";"))) {
-                std::string path = nxcommon::simplePath(t_, ps, j);
-                auto it = st.ticketOf.find(path);
-                if (it != st.ticketOf.end())
-                    st.ticketOf[var] = it->second;
-            }
-        }
-    }
-
-    void
-    handleCall(const std::string &recv, const std::string &m, size_t ab,
-               size_t ae, int line, PathState &st)
-    {
-        // Ticket lifecycle first (claims can hide in conditions).
-        for (const auto &kv : tb_.tprotos) {
-            const TicketProtocol &tp = kv.second;
-            bool claiming = tp.claim.count(m) != 0;
-            bool polling = tp.poll.count(m) != 0;
-            if (claiming || polling) {
-                std::vector<std::pair<size_t, size_t>> args;
-                nxcommon::splitArgs(t_, ab, ae, args);
-                std::string p = args.empty()
-                                    ? std::string{}
-                                    : nxcommon::simplePath(
-                                          t_, args[0].first, args[0].second);
-                auto it = st.ticketOf.find(p);
-                if (it != st.ticketOf.end()) {
-                    TicketFlags &tf =
-                        st.tickets[static_cast<size_t>(it->second)];
-                    if (tf.drained) {
-                        report(line, "ticket-double-claim",
-                               m + "(" + p + ") after " + tf.drainedBy +
-                                   "() already claimed every "
-                                   "outstanding ticket (issued at line " +
-                                   std::to_string(tf.issueLine) + ")");
-                    } else if (tf.claimed) {
-                        report(line, "ticket-double-claim",
-                               "ticket " + p + " (issued at line " +
-                                   std::to_string(tf.issueLine) +
-                                   ") already claimed; each ticket is "
-                                   "claimable exactly once");
-                    } else if (claiming) {
-                        tf.claimed = true;
-                    }
-                }
-            }
-            if (tp.drain.count(m) != 0 && !recv.empty()) {
-                for (const auto &tk : st.ticketOf) {
-                    TicketFlags &tf =
-                        st.tickets[static_cast<size_t>(tk.second)];
-                    if (!tf.claimed && !tf.drained && tf.server == recv) {
-                        tf.drained = true;
-                        tf.drainedBy = m;
-                    }
-                }
-            }
-        }
-
-        // Class-protocol transition.
-        auto vit = st.protoOf.find(recv);
-        if (vit == st.protoOf.end())
-            return;
-        transition(*vit->second, recv, m, ab, ae, line, st);
     }
 
     void
@@ -842,7 +623,6 @@ class BodyCheck
     const Tables &tb_;
     std::vector<Finding> &out_;
     std::set<std::tuple<int, std::string, std::string>> seen_;
-    int nextTicketId_ = 0;
 };
 
 // ---------------------------------------------------------------------------

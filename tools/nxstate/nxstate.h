@@ -5,18 +5,16 @@
  * The fourth member of the in-tree static-analysis family (nxlint:
  * tokens, nxdeps: include edges, nxtaint: values). nxstate checks
  * *object lifecycles*: classes whose methods must be called in a
- * declared order (a stream must not be written after Finish, a ticket
- * must not be claimed twice) and mutexes that must be acquired in a
- * consistent global order.
+ * declared order (a stream must not be written after Finish, a server
+ * must not take work after drainAndStop) and mutexes that must be
+ * acquired in a consistent global order. Handles that must be released
+ * exactly once, JobServer tickets among them, are nxown's.
  *
  * Protocols are declared next to the class they govern, either with
  * the macros from src/util/protocol.h:
  *
  *     NXSIM_PROTOCOL(DeflateStream,
  *                    setDictionary? -> write* -> write[Finish]);
- *     NXSIM_TICKET_PROTOCOL(JobServer, issue(submitAsync, submitWithRetry),
- *                           claim(wait), poll(poll), drain(drain),
- *                           stop(drainAndStop));
  *
  * or, for classes that must stay macro-free, as a comment:
  *
@@ -53,8 +51,6 @@
  *   use-after-finish    method of an earlier phase called after the
  *                       final phase consumed the object
  *   double-finish       a once-only final phase entered twice
- *   ticket-double-claim a ticket claimed twice, or claimed/polled
- *                       after drain() already claimed it
  *   lock-cycle          the global lock-acquisition graph has a cycle
  *                       (potential deadlock); --dot prints the graph
  *   protocol-decl       malformed or conflicting protocol declaration

@@ -1,6 +1,6 @@
 /**
  * @file
- * nxtaint implementation: a statement-level forward taint walk over
+ * nxtaint implementation: a path-sensitive forward taint walk over
  * the shared tokenizer's output.
  *
  * The shape of the analysis, front to back:
@@ -10,17 +10,22 @@
  *      then strip comments and merge multi-character operators (`<<`,
  *      `->`, `==`, ...) via tools/common/tokens.h.
  *   2. Find function bodies with the shared finder
- *      (nxcommon::findFunctions). Each body gets a fresh taint
- *      environment; lambdas and nested blocks are analyzed inline
- *      against the enclosing function's environment.
- *   3. Walk the body statement by statement in token order. Sources
- *      taint variables, `if`/`switch`/contract comparisons sanitize
- *      them, sinks fire findings on tainted-and-unsanitized values.
- *      "Earlier in statement order" approximates "dominating" — right
- *      for the decode-loop idiom this tree is written in, and every
- *      deliberate exception carries an allow() with a justification.
+ *      (nxcommon::findFunctions) and walk each one with the shared CFG
+ *      walker (common/cfg_walk.h), the one nxstate and nxown use. The
+ *      per-path state is the taint environment, joined as may-taint,
+ *      plus the sanitized set, joined as must-clean: a check on only
+ *      one branch does not sanitize after the join, and loop bodies
+ *      run twice, so a value read at the end of one iteration reaches
+ *      the sinks at the top of the next.
+ *   3. Sources taint variables, `if`/`switch`/contract comparisons
+ *      sanitize them, sinks fire findings on tainted-and-unsanitized
+ *      values. The head's keyword picks the rule: `for`/`while`/`do`
+ *      bounds are loop-bound sinks before they sanitize, and a `for`
+ *      head splits into init, condition and update. An inline lambda's
+ *      body is walked as a nested body from the state before it; the
+ *      enclosing statement's own transfer skips it.
  *
- * The statement walk stays intra-procedural; cross-function flow rides
+ * The body walk stays intra-procedural; cross-function flow rides
  * on the shared call graph (tools/common/callgraph.h). analyzeFiles()
  * computes one TaintSummary per function in bottom-up SCC order — the
  * same Analyzer runs in summary mode with every parameter seeded
@@ -47,10 +52,10 @@
 #include <cctype>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/allow.h"
 #include "common/callgraph.h"
+#include "common/cfg_walk.h"
 #include "common/fileset.h"
 #include "common/lexer.h"
 #include "common/tokens.h"
@@ -63,7 +68,6 @@ using nxcommon::Allow;
 using nxlex::Lexer;
 using nxlex::Tok;
 using nxlex::Token;
-using nxlex::trim;
 
 // ---------------------------------------------------------------------------
 // Rule table
@@ -94,6 +98,9 @@ const std::vector<RuleInfo> kRules = {
 using nxcommon::findTopLevel;
 using nxcommon::isIdent;
 using nxcommon::isPunct;
+using nxcommon::matchBackward;
+using nxcommon::matchForward;
+using nxcommon::splitArgs;
 
 // ---------------------------------------------------------------------------
 // Analyzer
@@ -164,6 +171,14 @@ isConstIdent(const std::string &s)
            std::isupper(static_cast<unsigned char>(s[1]));
 }
 
+/** Everything tracked along one path: the variables that may hold
+ * untrusted values, and those of them a check has cleared. */
+struct TaintState
+{
+    std::map<std::string, TaintInfo, std::less<>> env;
+    std::set<std::string, std::less<>> clean;
+};
+
 class Analyzer
 {
   public:
@@ -201,13 +216,7 @@ class Analyzer
             sum.paramSinks.resize(fn.params.size());
             sum.paramToReturn.resize(fn.params.size(), false);
         }
-        beginFunction(fn.paramOpen, fn.paramClose);
-        for (size_t p = 0; p < fn.params.size(); ++p)
-            if (!fn.params[p].empty())
-                env_[fn.params[p]] = {fn.line,
-                                      "parameter '" + fn.params[p] + "'",
-                                      static_cast<int>(p)};
-        analyzeBody(fn.bodyBegin);
+        walkFunction(fn);
         summaryMode_ = false;
         sum_ = nullptr;
         return sumChanged_;
@@ -218,41 +227,123 @@ class Analyzer
     run()
     {
         for (const nxcommon::FunctionDef &fn :
-             nxcommon::findFunctions(t_, fileIdx_)) {
-            beginFunction(fn.paramOpen, fn.paramClose);
-            analyzeBody(fn.bodyBegin);
+             nxcommon::findFunctions(t_, fileIdx_))
+            walkFunction(fn);
+    }
+
+    // -- the analysis, as nxcommon::CfgWalk's hooks ---------------------
+
+    using State = TaintState;
+
+    /** May-taint, must-clean: a variable is tainted after the join when
+     * either path left it tainted. */
+    static TaintState
+    join(const TaintState &a, const TaintState &b)
+    {
+        auto cleanOn = [](const TaintState &s, const std::string &var) {
+            return s.env.count(var) == 0 || s.clean.count(var) != 0;
+        };
+        TaintState j;
+        j.env = b.env;
+        j.env.insert(a.env.begin(), a.env.end());
+        for (const auto &kv : j.env)
+            if (cleanOn(a, kv.first) && cleanOn(b, kv.first))
+                j.clean.insert(kv.first);
+        return j;
+    }
+
+    /** A control head; the keyword before its `(` picks the rule
+     * (`if constexpr` reads as an if, a do-while's head as a while). */
+    void
+    condition(size_t b, size_t e, TaintState &st)
+    {
+        const std::string &kw = t_[b - 2].text;
+        if (kw == "for")
+            forHead(b, e, st);
+        else
+            handleCond(b, e, /*loop=*/kw == "while",
+                       /*isSwitch=*/kw == "switch", st);
+    }
+
+    /** return/co_return/throw at @p kw: the operand is a statement, and
+     * in summary mode a tainted return value is recorded. */
+    void
+    exit(size_t kw, size_t e, TaintState &st)
+    {
+        statement(kw + 1, e, st);
+        TaintInfo ti;
+        if (summaryMode_ && t_[kw].text != "throw" &&
+            findTaint(kw + 1, e, st, ti))
+            recordReturn(ti);
+    }
+
+    /** One statement. An inline lambda's body is walked as a nested
+     * body from the state before it (its effects stay inside), and the
+     * statement's own transfer skips it. */
+    void
+    statement(size_t b, size_t e, TaintState &st)
+    {
+        size_t from = b;
+        for (size_t i = b; i < e; ++i) {
+            size_t body = lambdaBody(i, e);
+            if (body == e)
+                continue;
+            size_t end = std::min(matchForward(t_, body, '{', '}'), e);
+            transfer(from, body, st);
+            TaintState inner = st;
+            nxcommon::CfgWalk<Analyzer>(t_, *this).walk(body + 1, end, inner);
+            from = end + 1;
+            i = end;
         }
+        transfer(from, e, st);
     }
 
   private:
-    // -- bracket matching ---------------------------------------------------
-
-    size_t
-    matchForward(size_t i, char open, char close) const
-    {
-        return nxcommon::matchForward(t_, i, open, close);
-    }
-
-    size_t
-    matchBackward(size_t i, char open, char close) const
-    {
-        return nxcommon::matchBackward(t_, i, open, close);
-    }
-
-    /** Reset state and mark NXSIM_UNTRUSTED parameters tainted. */
+    /** Walk @p fn's body from its entry state: NXSIM_UNTRUSTED
+     * parameters tainted, and in summary mode every parameter. */
     void
-    beginFunction(size_t po, size_t pc)
+    walkFunction(const nxcommon::FunctionDef &fn)
     {
-        env_.clear();
-        clean_.clear();
+        TaintState st;
         std::vector<std::pair<size_t, size_t>> params;
-        splitArgs(po + 1, pc, params);
+        splitArgs(t_, fn.paramOpen + 1, fn.paramClose, params);
         for (const auto &[b, e] : params)
-            markUntrustedParam(b, e);
+            markUntrustedParam(b, e, st);
+        for (size_t p = 0; summaryMode_ && p < fn.params.size(); ++p)
+            if (!fn.params[p].empty())
+                st.env[fn.params[p]] = {fn.line,
+                                        "parameter '" + fn.params[p] + "'",
+                                        static_cast<int>(p)};
+        if (st.env.empty() && !readsSource(fn.bodyBegin, fn.bodyEnd))
+            return;    // nothing can become tainted: the walk finds nothing
+        nxcommon::CfgWalk<Analyzer>(t_, *this).walk(fn.bodyBegin + 1,
+                                                    fn.bodyEnd, st);
+    }
+
+    /** Does [b, e) read a source, or call a function whose summary
+     * says it returns taint? Those are the only ways a clean state
+     * gains taint. */
+    bool
+    readsSource(size_t b, size_t e) const
+    {
+        for (size_t i = b; i < e; ++i) {
+            if (!isIdent(t_, i) || !isPunct(t_, i + 1, "("))
+                continue;
+            if (i >= 2 && isIdent(t_, i - 2) &&
+                (isPunct(t_, i - 1, ".") || isPunct(t_, i - 1, "->")) &&
+                kSourceMethods.count(t_[i].text) != 0)
+                return true;
+            const nxcommon::CallSite *cs =
+                sums_ != nullptr ? graph_->callAt(fileIdx_, i) : nullptr;
+            if (cs != nullptr && cs->target >= 0 &&
+                (*sums_)[static_cast<size_t>(cs->target)].returnsTaint)
+                return true;
+        }
+        return false;
     }
 
     void
-    markUntrustedParam(size_t b, size_t e)
+    markUntrustedParam(size_t b, size_t e, TaintState &st) const
     {
         bool untrusted = false;
         size_t lastIdent = t_.size();
@@ -268,100 +359,79 @@ class Analyzer
             lastIdent = i;
         }
         if (untrusted && lastIdent != t_.size())
-            env_[t_[lastIdent].text] = {t_[lastIdent].line,
-                                        "NXSIM_UNTRUSTED parameter '" +
-                                            t_[lastIdent].text + "'"};
+            st.env[t_[lastIdent].text] = {t_[lastIdent].line,
+                                          "NXSIM_UNTRUSTED parameter '" +
+                                              t_[lastIdent].text + "'"};
     }
 
-    // -- body walk ----------------------------------------------------------
-
-    /** Walk one function body statement by statement. */
-    void
-    analyzeBody(size_t braceIdx)
+    /** The `{` of the inline lambda whose introducer `[` is at @p i, or
+     * @p e when none starts there. */
+    size_t
+    lambdaBody(size_t i, size_t e) const
     {
-        size_t end = matchForward(braceIdx, '{', '}');
-        size_t i = braceIdx + 1;
-        size_t sb = i;
-        while (i < end) {
-            const Token &tk = t_[i];
-            if (tk.kind == Tok::Ident &&
-                (tk.text == "if" || tk.text == "while" ||
-                 tk.text == "switch" || tk.text == "for") &&
-                isPunct(t_, i + 1, "(")) {
-                processStmt(sb, i);
-                size_t close = matchForward(i + 1, '(', ')');
-                handleControl(tk.text, i + 2, close);
-                i = close + 1;
-                sb = i;
-                continue;
-            }
-            if (isPunct(t_, i, ";") || isPunct(t_, i, "{") ||
-                isPunct(t_, i, "}")) {
-                processStmt(sb, i);
-                ++i;
-                sb = i;
-                continue;
-            }
-            ++i;
-        }
-        processStmt(sb, end);
+        if (!isPunct(t_, i, "[") || isPunct(t_, i + 1, "[") ||
+            isIdent(t_, i - 1) || isPunct(t_, i - 1, "]") ||
+            isPunct(t_, i - 1, ")"))
+            return e;    // a subscript or an attribute
+        size_t j = matchForward(t_, i, '[', ']') + 1;
+        if (isPunct(t_, j, "("))
+            j = matchForward(t_, j, '(', ')') + 1;
+        while (j < e && (isIdent(t_, j) || isPunct(t_, j, "->") ||
+                         isPunct(t_, j, "::") || isPunct(t_, j, "<") ||
+                         isPunct(t_, j, ">") || isPunct(t_, j, "*") ||
+                         isPunct(t_, j, "&")))
+            ++j;    // mutable, noexcept, a trailing return type
+        return j < e && isPunct(t_, j, "{") ? j : e;
     }
 
-    /** `for` headers split into init/cond/update; conditions of loops
-     * are loop-bound sinks before they sanitize, `if`/`switch`
-     * conditions sanitize without flagging. */
+    /** `for` heads split into init/cond/update; a range-for has no
+     * condition clause. */
     void
-    handleControl(const std::string &kind, size_t b, size_t e)
+    forHead(size_t b, size_t e, TaintState &st)
     {
-        if (kind == "for") {
-            auto semi = [&](size_t i) { return isPunct(t_, i, ";"); };
-            size_t s1 = findTopLevel(t_, b, e, semi);
-            size_t s2 = s1 == e ? e : findTopLevel(t_, s1 + 1, e, semi);
-            if (s1 == e) {
-                processStmt(b, e);    // range-for: no condition clause
-                return;
-            }
-            processStmt(b, s1);
-            handleCond(s1 + 1, s2 == e ? e : s2, /*loop=*/true,
-                       /*isSwitch=*/false);
-            if (s2 != e)
-                processStmt(s2 + 1, e);
+        auto semi = [&](size_t i) { return isPunct(t_, i, ";"); };
+        size_t s1 = findTopLevel(t_, b, e, semi);
+        if (s1 == e) {
+            statement(b, e, st);
             return;
         }
-        handleCond(b, e, /*loop=*/kind == "while",
-                   /*isSwitch=*/kind == "switch");
+        size_t s2 = findTopLevel(t_, s1 + 1, e, semi);
+        statement(b, s1, st);
+        handleCond(s1 + 1, s2, /*loop=*/true, /*isSwitch=*/false, st);
+        if (s2 != e)
+            statement(s2 + 1, e, st);
     }
 
+    /** Loop conditions are loop-bound sinks before they sanitize;
+     * `if`/`switch` conditions sanitize without flagging. */
     void
-    handleCond(size_t b, size_t e, bool loop, bool isSwitch)
+    handleCond(size_t b, size_t e, bool loop, bool isSwitch,
+               TaintState &st)
     {
-        checkSinks(b, e);
+        checkSinks(b, e, st);
         if (isSwitch) {
-            sanitizeIdents(b, e);
+            sanitizeIdents(b, e, st);
             return;
         }
-        bool any = false;
         for (size_t i = b; i < e; ++i) {
             if (t_[i].kind != Tok::Punct ||
                 kComparisons.count(t_[i].text) == 0)
                 continue;
-            any = true;
             size_t lb = operandLeft(i, b);
             size_t rb = operandRight(i, e);
             if (loop) {
                 TaintInfo ti;
-                if (findTaint(lb, i, ti) || findTaint(i + 1, rb, ti))
-                    report("taint-loop-bound", t_[i].line,
+                if (findTaint(lb, i, st, ti) || findTaint(i + 1, rb, st, ti))
+                    report("taint-loop-bound", i, t_[i].line,
                            "loop bound compares against " + ti.what +
                                " (tainted at line " +
                                std::to_string(ti.line) +
                                ") before any bounds check",
                            ti, "loop-bound");
             }
-            sanitizeIdents(lb, i);
-            sanitizeIdents(i + 1, rb);
+            sanitizeIdents(lb, i, st);
+            sanitizeIdents(i + 1, rb, st);
         }
-        (void)any;
     }
 
     /** Left edge of the operand of the comparison at @p op. */
@@ -373,7 +443,7 @@ class Analyzer
             size_t p = i - 1;
             if (isPunct(t_, p, ")") || isPunct(t_, p, "]")) {
                 char open = t_[p].text[0] == ')' ? '(' : '[';
-                size_t o = matchBackward(p, open, t_[p].text[0]);
+                size_t o = matchBackward(t_, p, open, t_[p].text[0]);
                 if (o == t_.size() || o < b)
                     return i;
                 i = o;
@@ -399,7 +469,7 @@ class Analyzer
         while (i < e) {
             if (isPunct(t_, i, "(") || isPunct(t_, i, "[")) {
                 char close = t_[i].text[0] == '(' ? ')' : ']';
-                size_t c = matchForward(i, t_[i].text[0], close);
+                size_t c = matchForward(t_, i, t_[i].text[0], close);
                 if (c >= e)
                     return e;
                 i = c + 1;
@@ -425,7 +495,7 @@ class Analyzer
      * stay attacker-controlled).
      */
     void
-    sanitizeIdents(size_t b, size_t e)
+    sanitizeIdents(size_t b, size_t e, TaintState &st) const
     {
         int sub = 0;
         for (size_t i = b; i < e; ++i) {
@@ -438,34 +508,30 @@ class Analyzer
             if (isPunct(t_, i + 1, ".") || isPunct(t_, i + 1, "->") ||
                 isPunct(t_, i + 1, "(") || isPunct(t_, i + 1, "::"))
                 continue;
-            clean_.insert(t_[i].text);
+            st.clean.insert(t_[i].text);
         }
     }
 
     // -- statements ---------------------------------------------------------
 
+    /** The transfer of the statement range [b, e), which holds no
+     * lambda body. */
     void
-    processStmt(size_t b, size_t e)
+    transfer(size_t b, size_t e, TaintState &st)
     {
         if (b >= e)
             return;
         if (t_[b].kind == Tok::Ident &&
             kContractMacros.count(t_[b].text) != 0 &&
             isPunct(t_, b + 1, "(")) {
-            size_t close = matchForward(b + 1, '(', ')');
+            size_t close = matchForward(t_, b + 1, '(', ')');
             // A contract *is* the bounds check: sanitize, don't sink.
             handleCond(b + 2, std::min(close, e), /*loop=*/false,
-                       /*isSwitch=*/false);
+                       /*isSwitch=*/false, st);
             return;
         }
-        checkSinks(b, e);
-        applyAssignment(b, e);
-        if (summaryMode_ && (isIdent(t_, b, "return") ||
-                             isIdent(t_, b, "co_return"))) {
-            TaintInfo ti;
-            if (findTaint(b + 1, e, ti))
-                recordReturn(ti);
-        }
+        checkSinks(b, e, st);
+        applyAssignment(b, e, st);
     }
 
     /** Summary mode: a tainted value reached `return`. */
@@ -486,7 +552,7 @@ class Analyzer
     }
 
     void
-    applyAssignment(size_t b, size_t e)
+    applyAssignment(size_t b, size_t e, TaintState &st) const
     {
         size_t i = findTopLevel(t_, b, e, [&](size_t k) {
             const Token &op = t_[k];
@@ -497,11 +563,11 @@ class Analyzer
             return;    // none, or a subscript/deref target: not tracked
         const std::string &var = t_[i - 1].text;
         TaintInfo ti;
-        if (findTaint(i + 1, e, ti)) {
-            env_[var] = ti;
-            clean_.erase(var);
+        if (findTaint(i + 1, e, st, ti)) {
+            st.env[var] = ti;
+            st.clean.erase(var);
         } else if (t_[i].text == "=") {
-            env_.erase(var);
+            st.env.erase(var);
         }
     }
 
@@ -514,7 +580,8 @@ class Analyzer
      * whole expression.
      */
     bool
-    findTaint(size_t b, size_t e, TaintInfo &out) const
+    findTaint(size_t b, size_t e, const TaintState &st,
+              TaintInfo &out) const
     {
         if (maskedAt(b, e))
             return false;
@@ -541,7 +608,7 @@ class Analyzer
                     }
                 }
                 if (isPunct(t_, j, "(")) {
-                    i = matchForward(j, '(', ')') + 1;
+                    i = matchForward(t_, j, '(', ')') + 1;
                     continue;
                 }
             }
@@ -578,16 +645,16 @@ class Analyzer
                         if (!S.paramToReturn[a])
                             continue;
                         if (findTaint(cs->args[a].first,
-                                      std::min(cs->args[a].second, e),
+                                      std::min(cs->args[a].second, e), st,
                                       out))
                             return true;
                     }
-                    i = matchForward(i + 1, '(', ')') + 1;
+                    i = matchForward(t_, i + 1, '(', ')') + 1;
                     continue;
                 }
             }
-            auto it = env_.find(name);
-            if (it != env_.end() && clean_.count(name) == 0) {
+            auto it = st.env.find(name);
+            if (it != st.env.end() && st.clean.count(name) == 0) {
                 // Walk the member chain: geometry queries on a tainted
                 // container (x.size(), a.b.begin(), ...) are clean —
                 // they report capacity, the very thing tainted values
@@ -601,7 +668,7 @@ class Analyzer
                         cleanCall =
                             kCleanMethods.count(t_[j + 2].text) != 0;
                         if (cleanCall)
-                            i = matchForward(j + 3, '(', ')') + 1;
+                            i = matchForward(t_, j + 3, '(', ')') + 1;
                         break;
                     }
                     j += 2;
@@ -640,7 +707,7 @@ class Analyzer
             return true;
         if (!isPunct(t_, j, "("))
             return false;
-        size_t c = matchForward(j, '(', ')');
+        size_t c = matchForward(t_, j, '(', ')');
         if (c <= j + 1 || c > e)
             return false;
         for (size_t k = j + 1; k < c; ++k) {
@@ -654,25 +721,25 @@ class Analyzer
     // -- sinks --------------------------------------------------------------
 
     void
-    checkSinks(size_t b, size_t e)
+    checkSinks(size_t b, size_t e, const TaintState &st)
     {
-        checkCallSinks(b, e);
-        checkIndexSinks(b, e);
-        checkShiftSinks(b, e);
+        checkCallSinks(b, e, st);
+        checkIndexSinks(b, e, st);
+        checkShiftSinks(b, e, st);
     }
 
     void
-    checkCallSinks(size_t b, size_t e)
+    checkCallSinks(size_t b, size_t e, const TaintState &st)
     {
         for (size_t i = b; i < e; ++i) {
             if (!isIdent(t_, i) || !isPunct(t_, i + 1, "("))
                 continue;
             const std::string &name = t_[i].text;
-            size_t close = matchForward(i + 1, '(', ')');
+            size_t close = matchForward(t_, i + 1, '(', ')');
             if (close > e)
                 continue;
             std::vector<std::pair<size_t, size_t>> args;
-            splitArgs(i + 2, close, args);
+            splitArgs(t_, i + 2, close, args);
             bool member = i > b && (isPunct(t_, i - 1, ".") ||
                                     isPunct(t_, i - 1, "->"));
             size_t argIdx = t_.size();
@@ -696,9 +763,9 @@ class Analyzer
             }
             if (rule != nullptr && argIdx < args.size()) {
                 TaintInfo ti;
-                if (findTaint(args[argIdx].first, args[argIdx].second,
+                if (findTaint(args[argIdx].first, args[argIdx].second, st,
                               ti))
-                    report(rule, t_[i].line,
+                    report(rule, i, t_[i].line,
                            name + "() count argument derives from " +
                                ti.what + " (tainted at line " +
                                std::to_string(ti.line) +
@@ -706,7 +773,7 @@ class Analyzer
                            ti, name);
                 continue;
             }
-            checkSummarySinks(i, name, args);
+            checkSummarySinks(i, name, args, st);
         }
     }
 
@@ -718,7 +785,8 @@ class Analyzer
      */
     void
     checkSummarySinks(size_t i, const std::string &name,
-                      const std::vector<std::pair<size_t, size_t>> &args)
+                      const std::vector<std::pair<size_t, size_t>> &args,
+                      const TaintState &st)
     {
         if (sums_ == nullptr)
             return;
@@ -731,10 +799,10 @@ class Analyzer
             if (S.paramSinks[a].empty())
                 continue;
             TaintInfo ti;
-            if (!findTaint(args[a].first, args[a].second, ti))
+            if (!findTaint(args[a].first, args[a].second, st, ti))
                 continue;
             const SinkFlow &fl = S.paramSinks[a][0];
-            report(fl.rule, t_[i].line,
+            report(fl.rule, args[a].first, t_[i].line,
                    "argument " + std::to_string(a + 1) + " of " + name +
                        "() derives from " + ti.what +
                        " (tainted at line " + std::to_string(ti.line) +
@@ -745,14 +813,7 @@ class Analyzer
     }
 
     void
-    splitArgs(size_t b, size_t e,
-              std::vector<std::pair<size_t, size_t>> &args) const
-    {
-        nxcommon::splitArgs(t_, b, e, args);
-    }
-
-    void
-    checkIndexSinks(size_t b, size_t e)
+    checkIndexSinks(size_t b, size_t e, const TaintState &st)
     {
         for (size_t i = b; i < e; ++i) {
             if (!isPunct(t_, i, "["))
@@ -760,12 +821,12 @@ class Analyzer
             if (i == b || !(isIdent(t_, i - 1) || isPunct(t_, i - 1, "]") ||
                             isPunct(t_, i - 1, ")")))
                 continue;    // lambda introducer / attribute, not a load
-            size_t close = matchForward(i, '[', ']');
+            size_t close = matchForward(t_, i, '[', ']');
             if (close > e)
                 continue;
             TaintInfo ti;
-            if (findTaint(i + 1, close, ti))
-                report("taint-index", t_[i].line,
+            if (findTaint(i + 1, close, st, ti))
+                report("taint-index", i, t_[i].line,
                        "subscript derives from " + ti.what +
                            " (tainted at line " + std::to_string(ti.line) +
                            ") without a bounds check",
@@ -774,7 +835,7 @@ class Analyzer
     }
 
     void
-    checkShiftSinks(size_t b, size_t e)
+    checkShiftSinks(size_t b, size_t e, const TaintState &st)
     {
         // Stream formatting (`oss << value`) is not bit arithmetic:
         // skip statements that chain a string literal through <<.
@@ -794,7 +855,7 @@ class Analyzer
             size_t rb = i + 1;
             size_t re = rb;
             if (isPunct(t_, rb, "(")) {
-                re = matchForward(rb, '(', ')') + 1;
+                re = matchForward(t_, rb, '(', ')') + 1;
             } else {
                 while (re < e &&
                        (isIdent(t_, re) || t_[re].kind == Tok::Number ||
@@ -803,8 +864,8 @@ class Analyzer
                     ++re;
             }
             TaintInfo ti;
-            if (findTaint(rb, std::min(re, e), ti))
-                report("taint-shift", t_[i].line,
+            if (findTaint(rb, std::min(re, e), st, ti))
+                report("taint-shift", i, t_[i].line,
                        "shift amount derives from " + ti.what +
                            " (tainted at line " + std::to_string(ti.line) +
                            ") without a bounds check",
@@ -817,11 +878,13 @@ class Analyzer
      * reached from parameter N becomes a SinkFlow on that parameter
      * (chain extended with this function's name); sinks fed by the
      * function's own sources are dropped here because the findings
-     * pass reports them directly.
+     * pass reports them directly. A loop body is walked twice, so a
+     * finding fires once per sink token @p at and rule.
      */
     void
-    report(const std::string &rule, int line, const std::string &msg,
-           const TaintInfo &ti, const std::string &chainTail)
+    report(const std::string &rule, size_t at, int line,
+           const std::string &msg, const TaintInfo &ti,
+           const std::string &chainTail)
     {
         if (summaryMode_) {
             if (ti.param < 0 ||
@@ -844,14 +907,14 @@ class Analyzer
             sumChanged_ = true;
             return;
         }
-        out_.push_back({std::string(file_), line, rule, msg});
+        if (seen_.emplace(at, rule).second)
+            out_.push_back({std::string(file_), line, rule, msg});
     }
 
     std::string_view file_;
     const std::vector<Token> &t_;
     std::vector<Finding> &out_;
-    std::map<std::string, TaintInfo, std::less<>> env_;
-    std::set<std::string, std::less<>> clean_;
+    std::set<std::pair<size_t, std::string>> seen_;
 
     // Cross-function mode (setGraph) and summary mode (computeSummary).
     const nxcommon::CallGraph *graph_ = nullptr;

@@ -7,13 +7,13 @@
  * *values*. Every historical decompressor exploit is the same bug: a
  * length/offset/count decoded from the untrusted bitstream reaches a
  * memory operation without a bounds check. nxtaint walks each function
- * body as a statement stream (built on the shared tools/common/lexer.h
- * tokenizer — deliberately no compiler frontend, same philosophy as
- * its siblings), marks taint sources, propagates through assignments
- * and arithmetic, and flags tainted values reaching memory sinks
- * without passing a sanitizer.
+ * body with the shared CFG walker (tools/common/cfg_walk.h, over the
+ * shared tools/common/lexer.h tokenizer — deliberately no compiler
+ * frontend, same philosophy as its siblings), marks taint sources,
+ * propagates through assignments and arithmetic, and flags tainted
+ * values reaching memory sinks without passing a sanitizer.
  *
- * On top of the statement walk, analyzeFiles()/analyzeTree() build the
+ * On top of the body walk, analyzeFiles()/analyzeTree() build the
  * project call graph (tools/common/callgraph.h) and compute one
  * summary per function in bottom-up SCC order: which parameters reach
  * a sink unchecked, which flow through to the return value, and
@@ -40,7 +40,7 @@
  *   - taint-loop-bound  for/while condition comparing against a
  *                       tainted bound
  *
- * Sanitizers (clear the taint from then on in the function)
+ * Sanitizers (clear the taint on every path they dominate)
  *   - a comparison against the value in an if condition, switch head,
  *     or NXSIM_EXPECT/NXSIM_ENSURE/NXSIM_ASSERT contract
  *   - wrapping in nx::checked_cast / nx::truncate_cast / std::min /
@@ -52,11 +52,15 @@
  *     (same grammar and placement rules as nxlint; a bare or unused
  *     allow is itself a finding: bare-allow / stale-allow)
  *
- * The analysis is intra-procedural and flow-approximate: a sanitizer
- * anywhere earlier in the function body (in statement order) counts as
- * dominating. That trades soundness corner cases for zero false
- * positives on this codebase's idiom — decode loops check before they
- * write, and the checker's job is to keep it that way.
+ * The body walk is path-sensitive: a value is tainted after a branch
+ * join when either path left it tainted, and sanitized only when every
+ * path checked it; loop bodies run twice, so a value read at the end
+ * of one iteration reaches the sinks at the top of the next. An inline
+ * lambda's body is walked from the state where it is written, and its
+ * checks stay inside it. Token-level matching still trades soundness
+ * corner cases for zero false positives on this codebase's idiom —
+ * decode loops check before they write, and the checker's job is to
+ * keep it that way.
  */
 
 #ifndef NXSIM_NXTAINT_NXTAINT_H
