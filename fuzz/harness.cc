@@ -305,8 +305,6 @@ fuzzSession(std::span<const uint8_t> data)
                    "routing counters do not add up");
         FUZZ_CHECK(st.fallbacks <= st.accelRouted,
                    "more fallbacks than accelerator-routed requests");
-        FUZZ_CHECK(st.pool.releases == st.pool.acquires,
-                   "leaked pool buffers");
         sess.close();
     }
     // Disarm the injector so queued-but-unrelated work and the next

@@ -1,36 +1,16 @@
 /**
  * @file
- * BufferPool — a page-aligned pinned-buffer pool with a page-table
- * free-list lookup, modeled on QATzip's qzMalloc/qatzip_mem layer.
+ * BufferPoolStats — staging-pool counters that always read zero.
  *
- * Production accelerator stacks never hand user heap pointers to the
- * DMA engine: the session layer copies each request into a buffer that
- * is page-aligned, pinned (never paged out while a CRB references it)
- * and recycled across requests, because pin/unpin and allocator churn
- * on the request path costs more than the copy. This class models that
- * pool:
- *
- *  - construction carves `slabCount` slabs of `slabBytes` each, all
- *    aligned to the 4 KiB page size (the "pinned" memory — in this
- *    model that simply means pre-faulted and never reallocated);
- *  - acquire() pops a free slab in O(1); when the pool is exhausted or
- *    the request is larger than a slab it falls back to a page-aligned
- *    heap allocation and counts it (stats().heapFallbacks), exactly
- *    like qzMalloc falling back to malloc when the huge-page pool is
- *    dry;
- *  - release is by *pointer*, resolved through a two-level page table
- *    (page address -> slab index, the qatzip_page_table.h technique),
- *    so callers need no side-channel to say which slab a buffer was —
- *    and a release of a slab that is already free is a contract
- *    violation, not a silent free-list corruption;
- *  - released slabs are poisoned (every byte 0xA5) so a stale pointer
- *    into returned memory reads deterministic garbage instead of the
- *    previous request's payload — use-after-release becomes a test
- *    failure today rather than a data-leak bug later.
- *
- * Thread-safety: all public methods may be called from any thread; the
- * free list, page table and counters are guarded by mu_ (stated in the
- * types, checked by the clang-tsa preset).
+ * Nothing stages a request: an NX engine reads the requester's own
+ * virtual memory through address translation (a CRB that touches an
+ * unmapped page ends in a translation fault, which software answers
+ * by touching the page and resubmitting), so Session copies an
+ * accelerator-bound request once, into its job. SessionStats::pool
+ * keeps this struct only because the benchmark package
+ * (perfbench/metrics.h, perfbench/runner.cc) still reads its fields;
+ * the benchmark change that drops perfbench's buffer_pool.* metrics
+ * deletes this header.
  */
 
 #ifndef NXSIM_CORE_BUFFER_POOL_H
@@ -38,198 +18,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <span>
-#include <vector>
-
-#include "util/ownership.h"
-#include "util/thread_annotations.h"
 
 namespace nx {
 
-/** Pool geometry. */
-struct BufferPoolConfig
-{
-    /** Bytes per slab; rounded up to a whole number of pages. */
-    size_t slabBytes = size_t{64} << 10;
-
-    /** Slabs carved at construction (the "pinned" capacity). */
-    size_t slabCount = 32;
-
-    /** Fill released slabs with kPoisonByte (stale-use detection). */
-    bool poisonOnRelease = true;
-};
-
-/** Counters exposed through BufferPool::stats(). */
+/** Staging-pool counters: every field reads 0. */
 struct BufferPoolStats
 {
-    uint64_t acquires = 0;       ///< total acquire() calls
-    uint64_t releases = 0;       ///< buffers returned (pool + heap)
-    uint64_t poolHits = 0;       ///< acquires served from a slab
-    uint64_t heapFallbacks = 0;  ///< exhausted pool or oversize request
-    size_t freeSlabs = 0;        ///< slabs currently on the free list
-    size_t slabCount = 0;        ///< total slabs
-    size_t slabBytes = 0;        ///< bytes per slab (page-rounded)
-    size_t pinnedBytes = 0;      ///< slabCount * slabBytes
-};
-
-/** The pool. Non-copyable; owns its slabs for its whole lifetime. */
-class BufferPool
-{
-  public:
-    /** Modelled page size: every buffer is aligned to this. */
-    static constexpr size_t kPageBytes = 4096;
-
-    /** Poison pattern written over a slab when it is released. */
-    static constexpr uint8_t kPoisonByte = 0xA5;
-
-    explicit BufferPool(const BufferPoolConfig &cfg = {});
-    ~BufferPool();
-
-    BufferPool(const BufferPool &) = delete;
-    BufferPool &operator=(const BufferPool &) = delete;
-
-    /**
-     * RAII handle over one acquired buffer. Movable, not copyable;
-     * returns the buffer on destruction (or an explicit release()).
-     */
-    class Lease
-    {
-      public:
-        Lease() = default;
-        Lease(Lease &&o) noexcept { moveFrom(o); }
-        Lease &
-        operator=(Lease &&o) noexcept
-        {
-            if (this != &o) {
-                release();
-                moveFrom(o);
-            }
-            return *this;
-        }
-        ~Lease() NXSIM_RELEASES(pool_buffer) { release(); }
-
-        Lease(const Lease &) = delete;
-        Lease &operator=(const Lease &) = delete;
-
-        uint8_t *data() const { return data_; }
-
-        /** Usable bytes (>= the size passed to acquire()). */
-        size_t size() const { return size_; }
-
-        /** Whole buffer as a span. */
-        std::span<uint8_t>
-        span() const
-        {
-            return {data_, size_};
-        }
-
-        /** First @p n bytes (n <= size()). */
-        std::span<uint8_t> prefix(size_t n) const;
-
-        /** True when backed by a pool slab (false: heap fallback). */
-        bool fromPool() const { return fromPool_; }
-
-        bool valid() const { return data_ != nullptr; }
-
-        /** Return the buffer now; idempotent. */
-        void release() NXSIM_RELEASES(pool_buffer);
-
-      private:
-        friend class BufferPool;
-        Lease(BufferPool *pool, uint8_t *data, size_t size,
-              bool from_pool)
-            : pool_(pool), data_(data), size_(size),
-              fromPool_(from_pool)
-        {
-        }
-        void
-        moveFrom(Lease &o)
-        {
-            pool_ = o.pool_;
-            data_ = o.data_;
-            size_ = o.size_;
-            fromPool_ = o.fromPool_;
-            o.pool_ = nullptr;
-            o.data_ = nullptr;
-            o.size_ = 0;
-            o.fromPool_ = false;
-        }
-
-        BufferPool *pool_ = nullptr;  ///< null only for an empty Lease
-        uint8_t *data_ = nullptr;
-        size_t size_ = 0;
-        bool fromPool_ = false;
-    };
-
-    /**
-     * Acquire a buffer of at least @p bytes. Served from a free slab
-     * when @p bytes fits one and the pool is not exhausted; otherwise
-     * a page-aligned heap allocation (counted as a heap fallback).
-     * Never fails for sane sizes; @p bytes may be 0 (smallest buffer).
-     */
-    [[nodiscard]] Lease acquire(size_t bytes) NXSIM_EXCLUDES(mu_)
-        NXSIM_ACQUIRES(pool_buffer);
-
-    /**
-     * Return slab @p p to the free list, resolving which slab it is
-     * through the page table. @p p must be the base pointer of a slab
-     * that is currently leased: releasing a pointer the pool does not
-     * own, a non-base interior pointer, or a slab that is already free
-     * is a contract violation (abort) — the double-free is reported at
-     * the faulty release, not as later free-list corruption.
-     */
-    void releaseSlab(uint8_t *p) NXSIM_EXCLUDES(mu_)
-        NXSIM_RELEASES(pool_buffer);
-
-    /**
-     * True when @p p points anywhere inside pool-owned slab memory
-     * (the page-table probe that backs releaseSlab).
-     */
-    [[nodiscard]] bool owns(const uint8_t *p) const NXSIM_EXCLUDES(mu_);
-
-    [[nodiscard]] BufferPoolStats stats() const NXSIM_EXCLUDES(mu_);
-
-    /** Bytes per slab after page rounding. */
-    size_t slabBytes() const { return slabBytes_; }
-
-  private:
-    // Two-level page-table geometry: a page's slab is found by
-    // directory = pageNumber >> kDirShift, entry = low kDirShift bits.
-    static constexpr unsigned kPageShift = 12;  // log2(kPageBytes)
-    static constexpr unsigned kDirShift = 9;    // 512 entries/directory
-    static constexpr size_t kDirEntries = size_t{1} << kDirShift;
-
-    /** One directory of the two-level table. -1: page not pool-owned. */
-    struct PageDir
-    {
-        std::vector<int32_t> slabOf =
-            std::vector<int32_t>(kDirEntries, -1);
-    };
-
-    /** Slab index for @p p, or -1 when the pool does not own it. */
-    [[nodiscard]] int32_t lookupLocked(const uint8_t *p) const
-        NXSIM_REQUIRES(mu_);
-
-    /** Free a heap-fallback buffer and count its release. */
-    void releaseHeap(uint8_t *p) NXSIM_EXCLUDES(mu_);
-
-    mutable nx::Mutex mu_;
-
-    // Slab storage: the pointers are fixed at construction (the pool
-    // never grows or shrinks) but lease/free state is dynamic.
-    std::vector<uint8_t *> slabs_ NXSIM_GUARDED_BY(mu_);
-    std::vector<bool> slabFree_ NXSIM_GUARDED_BY(mu_);
-    std::vector<uint32_t> freeList_ NXSIM_GUARDED_BY(mu_);  ///< LIFO
-    std::map<uint64_t, PageDir> pageTable_ NXSIM_GUARDED_BY(mu_);
-
-    uint64_t acquires_ NXSIM_GUARDED_BY(mu_) = 0;
-    uint64_t releases_ NXSIM_GUARDED_BY(mu_) = 0;
-    uint64_t poolHits_ NXSIM_GUARDED_BY(mu_) = 0;
-    uint64_t heapFallbacks_ NXSIM_GUARDED_BY(mu_) = 0;
-
-    size_t slabBytes_ = 0;  ///< immutable after construction
-    bool poison_ = true;    ///< immutable after construction
+    uint64_t acquires = 0;
+    uint64_t releases = 0;
+    uint64_t poolHits = 0;
+    uint64_t heapFallbacks = 0;
+    size_t pinnedBytes = 0;
 };
 
 } // namespace nx

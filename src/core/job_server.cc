@@ -45,7 +45,7 @@ faultedResult(nx::CondCode cc)
 } // namespace
 
 JobServer::JobServer(const nx::NxConfig &cfg, const JobServerConfig &jcfg)
-    : cfg_(cfg), jcfg_(jcfg), e842_(jcfg.e842)
+    : cfg_(cfg), jcfg_(jcfg)
 {
     NXSIM_EXPECT(jcfg_.windows > 0, "job server needs >= 1 window");
     int workers = jcfg_.workers;

@@ -165,9 +165,6 @@ struct JobServerConfig
      */
     bool startPaused = false;
 
-    /** 842 engine parameters (every worker runs 842 jobs, like DEFLATE). */
-    e842::E842EngineConfig e842;
-
     /**
      * Optional fault hook, consulted once per job before it runs: an
      * injected fault completes the job with the injected condition
@@ -309,7 +306,7 @@ class JobServer
     std::vector<std::unique_ptr<nx::DecompressEngine>> decomp_;
     /// The 842 engine keeps no state between jobs: every worker runs
     /// its const methods on this one.
-    const e842::E842Engine e842_;
+    const e842::E842Engine e842_{};
     std::vector<std::thread> workers_;
 
     mutable nx::Mutex mu_;

@@ -44,17 +44,15 @@ toString(Backend b)
     return "?";
 }
 
-Session::Session(const nx::NxConfig &cfg, const SessionPolicy &policy,
-                 const BufferPoolConfig &pool)
+Session::Session(const nx::NxConfig &cfg, const SessionPolicy &policy)
     : pol_(policy),
       ownedServer_(std::make_unique<core::JobServer>(cfg)),
-      server_(ownedServer_.get()), pool_(pool)
+      server_(ownedServer_.get())
 {
 }
 
-Session::Session(core::JobServer &server, const SessionPolicy &policy,
-                 const BufferPoolConfig &pool)
-    : pol_(policy), server_(&server), pool_(pool)
+Session::Session(core::JobServer &server, const SessionPolicy &policy)
+    : pol_(policy), server_(&server)
 {
 }
 
@@ -111,16 +109,10 @@ Session::run(core::JobKind kind, std::span<const uint8_t> input)
     const bool toAccel = routesToAccelerator(input.size());
     SessionResult res;
     DeviceOutcome dev = DeviceOutcome::Faulted;
-    if (toAccel) {
-        // Stage the request into the pinned pool — the copy a
-        // production stack pays so the DMA engine sees page-aligned,
-        // never-paged memory — then paste from the staged bytes.
-        auto lease = pool_.acquire(input.size());
-        nx::copyBytes(lease.data(), input.data(), input.size());
-        dev = deviceLeg(kind, lease.prefix(input.size()), &res);
-    }
+    if (toAccel)
+        dev = deviceLeg(kind, input, &res);
 
-    if (!toAccel || dev != DeviceOutcome::Completed) {
+    if (!toAccel || dev != DeviceOutcome::Answered) {
         int submits = res.deviceSubmits;
         res = softwareLeg(kind, input);
         res.deviceSubmits = submits;
@@ -139,7 +131,7 @@ Session::run(core::JobKind kind, std::span<const uint8_t> input)
         switch (dev) {
           case DeviceOutcome::BusyExhausted: ++busyExhausted_; break;
           case DeviceOutcome::Closed: ++closedRejects_; break;
-          case DeviceOutcome::Completed:
+          case DeviceOutcome::Answered:
           case DeviceOutcome::Faulted:
             break;   // deviceFaults_ counted per faulted completion
         }
@@ -150,13 +142,13 @@ Session::run(core::JobKind kind, std::span<const uint8_t> input)
 }
 
 Session::DeviceOutcome
-Session::deviceLeg(core::JobKind kind, std::span<const uint8_t> staged,
+Session::deviceLeg(core::JobKind kind, std::span<const uint8_t> input,
                    SessionResult *out)
 {
     NXSIM_EXPECT(pol_.faultRetries >= 0, "negative fault-retry budget");
     for (int attempt = 0; attempt <= pol_.faultRetries; ++attempt) {
-        // The job's own copy of the staged bytes, moved into the FIFO
-        // on acceptance; a fault resubmission copies the lease again.
+        // The job's own copy of the caller's bytes, moved into the
+        // FIFO on acceptance; a fault resubmission copies them again.
         core::JobSpec spec;
         spec.kind = kind;
         spec.codec = pol_.format == SessionFormat::E842
@@ -164,7 +156,7 @@ Session::deviceLeg(core::JobKind kind, std::span<const uint8_t> staged,
         spec.framing = deflateFraming(pol_.format);
         spec.mode = pol_.mode;
         spec.maxOutput = pol_.maxOutputBytes;
-        spec.payload.assign(staged.begin(), staged.end());
+        spec.payload.assign(input.begin(), input.end());
         auto sub = server_->submitWithRetry(std::move(spec), pol_.window,
                                             pol_.backoff);
         if (sub.status == PasteStatus::Busy)
@@ -178,16 +170,27 @@ Session::deviceLeg(core::JobKind kind, std::span<const uint8_t> staged,
             out->backend = Backend::Accelerator;
             out->data = std::move(job.result.data);
             out->seconds = job.result.seconds;
-            return DeviceOutcome::Completed;
+            return DeviceOutcome::Answered;
         }
         {
             nx::MutexLock lk(mu_);
             ++deviceFaults_;
         }
+        const CondCode cc = job.result.csb.cc;
+        // A stream the engine rejects is the stream's fault: the
+        // software leg reads it through the same deflate::unwrap (or
+        // e842::decompress) under the same cap, so it cannot answer
+        // differently, and the device leg answers instead.
+        if (kind == core::JobKind::Decompress && cc == CondCode::BadData) {
+            out->backend = Backend::Accelerator;
+            out->error = std::string("accelerator: ") + nx::toString(cc);
+            out->seconds = job.result.seconds;
+            return DeviceOutcome::Answered;
+        }
         // The paper's protocol: translation faults are resubmitted
         // (software touches the page and re-pastes); anything else is
-        // terminal for the device leg — retrying BadData cannot help.
-        if (job.result.csb.cc != CondCode::TranslationFault)
+        // terminal for the device leg and falls back.
+        if (cc != CondCode::TranslationFault)
             break;
     }
     return DeviceOutcome::Faulted;
@@ -249,7 +252,6 @@ Session::stats() const
         s.bytesIn = bytesIn_;
         s.bytesOut = bytesOut_;
     }
-    s.pool = pool_.stats();
     core::JobServerStats js = server_->stats();
     s.serverBusyRejects = js.busyRejects;
     s.serverQueueDepthHighWater = js.queueDepthHighWater;

@@ -23,10 +23,13 @@
  *  - translation faults are resubmitted (the paper's touch-and-
  *    resubmit page-fault protocol) up to SessionPolicy::faultRetries
  *    times before software takes over; other condition codes fall
- *    back immediately (a BadData stream will not get better);
- *  - accelerator-bound request bytes are staged through a page-
- *    aligned pinned BufferPool (acquire -> copy -> DMA -> release)
- *    instead of per-call allocation, the qatzip_mem discipline;
+ *    back immediately, except a decompress the engine rejects as
+ *    BadData: the software leg reads the stream through the same
+ *    decoder under the same cap, so the device leg answers it;
+ *  - nothing stages a request: NX engines read the requester's
+ *    memory through address translation, so an accelerator-bound
+ *    request is copied once, into its job (again per translation-
+ *    fault resubmission);
  *  - every routing and fallback decision is counted in stats(), so
  *    operators can see *why* traffic landed where it did.
  *
@@ -174,7 +177,7 @@ struct SessionStats
     uint64_t bytesIn = 0;
     uint64_t bytesOut = 0;         ///< produced bytes of ok requests
 
-    /** Staging-pool counters (see BufferPool). */
+    /** Always zero: nothing stages a request (see buffer_pool.h). */
     BufferPoolStats pool;
 
     // Dispatch-layer view behind this session. On a shared JobServer
@@ -198,16 +201,14 @@ class Session
      * chip (simple single-client shape).
      */
     explicit Session(const nx::NxConfig &cfg,
-                     const SessionPolicy &policy = {},
-                     const BufferPoolConfig &pool = {});
+                     const SessionPolicy &policy = {});
 
     /**
      * Open a session over a shared JobServer (many sessions, one
      * engine pool). @p server must outlive the session.
      */
     explicit Session(core::JobServer &server,
-                     const SessionPolicy &policy = {},
-                     const BufferPoolConfig &pool = {});
+                     const SessionPolicy &policy = {});
 
     ~Session();
 
@@ -256,10 +257,10 @@ class Session
     core::JobServer &server() { return *server_; }
 
   private:
-    /** Fallback cause of one failed device leg. */
+    /** How the device leg ended; all but Answered fall back. */
     enum class DeviceOutcome
     {
-        Completed,       ///< out holds the accelerator result
+        Answered,   ///< out holds the result: output or a BadData stream
         BusyExhausted,
         Closed,
         Faulted,
@@ -269,7 +270,7 @@ class Session
                                     std::span<const uint8_t> input)
         NXSIM_EXCLUDES(mu_);
     [[nodiscard]] DeviceOutcome deviceLeg(core::JobKind kind,
-                                          std::span<const uint8_t> staged,
+                                          std::span<const uint8_t> input,
                                           SessionResult *out)
         NXSIM_EXCLUDES(mu_);
     [[nodiscard]] SessionResult softwareLeg(
@@ -281,7 +282,6 @@ class Session
 
     std::unique_ptr<core::JobServer> ownedServer_;
     core::JobServer *server_;   ///< owned or shared; never null
-    BufferPool pool_;           ///< staging for accelerator requests
 
     mutable nx::Mutex mu_;
     bool closed_ NXSIM_GUARDED_BY(mu_) = false;

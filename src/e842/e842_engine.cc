@@ -9,7 +9,7 @@ E842Engine::compressJob(std::span<const uint8_t> input) const
     auto res = compress(input);
     job.stats = res.stats;
     job.cycles = streamCycles(input.size(), res.bytes.size());
-    job.seconds = cfg_.clock.toSeconds(job.cycles);
+    job.seconds = kClock.toSeconds(job.cycles);
     job.output = std::move(res.bytes);
     job.ok = true;
     return job;
@@ -24,7 +24,7 @@ E842Engine::decompressJob(std::span<const uint8_t> stream,
     if (!res.ok)
         return job;
     job.cycles = streamCycles(res.bytes.size(), stream.size());
-    job.seconds = cfg_.clock.toSeconds(job.cycles);
+    job.seconds = kClock.toSeconds(job.cycles);
     job.output = std::move(res.bytes);
     job.ok = true;
     return job;

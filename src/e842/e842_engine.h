@@ -23,17 +23,6 @@
 
 namespace e842 {
 
-/** Engine parameters. */
-struct E842EngineConfig
-{
-    sim::Frequency clock{2.0e9};
-    /** Input chunks processed per cycle (one 8-byte chunk). */
-    int chunksPerCycle = 1;
-    sim::Tick dispatchCycles = 2000;
-    sim::Tick completionCycles = 800;
-    sim::DmaParams dma;
-};
-
 /** One executed 842 job. */
 struct E842Job
 {
@@ -48,8 +37,6 @@ struct E842Job
 class E842Engine
 {
   public:
-    explicit E842Engine(const E842EngineConfig &cfg = {}) : cfg_(cfg) {}
-
     /** Compress @p input; returns output + modelled time. */
     E842Job compressJob(std::span<const uint8_t> input) const;
 
@@ -57,21 +44,25 @@ class E842Engine
     E842Job decompressJob(std::span<const uint8_t> stream,
                           size_t max_output = size_t{1} << 30) const;
 
-    const E842EngineConfig &config() const { return cfg_; }
-
   private:
-    sim::Tick
-    streamCycles(uint64_t raw_bytes, uint64_t stream_bytes) const
-    {
-        sim::Tick chunks = sim::ceilDiv(raw_bytes,
-            uint64_t{8} * static_cast<uint64_t>(cfg_.chunksPerCycle));
-        sim::Tick dma = sim::DmaPort(cfg_.dma).transferCycles(
-            std::max(raw_bytes, stream_bytes));
-        return cfg_.dispatchCycles + std::max(chunks, dma) +
-            cfg_.completionCycles;
-    }
+    /** Engine clock. */
+    static constexpr sim::Frequency kClock{2.0e9};
+    /** Input chunks processed per cycle (one 8-byte chunk). */
+    static constexpr uint64_t kChunksPerCycle = 1;
+    static constexpr sim::Tick kDispatchCycles = 2000;
+    static constexpr sim::Tick kCompletionCycles = 800;
+    /** The engine's memory port. */
+    static constexpr sim::DmaParams kDma{};
 
-    E842EngineConfig cfg_;
+    static sim::Tick
+    streamCycles(uint64_t raw_bytes, uint64_t stream_bytes)
+    {
+        sim::Tick chunks =
+            sim::ceilDiv(raw_bytes, uint64_t{8} * kChunksPerCycle);
+        sim::Tick dma = sim::DmaPort(kDma).transferCycles(
+            std::max(raw_bytes, stream_bytes));
+        return kDispatchCycles + std::max(chunks, dma) + kCompletionCycles;
+    }
 };
 
 } // namespace e842

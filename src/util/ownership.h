@@ -3,28 +3,24 @@
  * Resource-ownership annotations — the vocabulary nxown reads.
  *
  * The accelerator protocol modelled by this repo is a chain of
- * ownership hand-offs: a pinned buffer is acquired from the pool,
- * pasted to the device, and must be released exactly once on every
- * outcome path — including the busy-exhaustion fallback, the
- * translation-fault resubmit ladder, and early returns. JobServer
- * tickets follow the same discipline (issued by submit, consumed by
- * exactly one wait/drain), and nxown is their only checker: a copy
+ * ownership hand-offs: a paste into a JobServer window issues a
+ * ticket, and the requester must claim it exactly once, by one wait
+ * or drain, on every outcome path — the translation-fault resubmit
+ * ladder and early returns included. nxown is the only checker of
+ * that discipline: a copy
  * (`auto u = t;`) names the same handle, so a wait through either
- * name claims both. `tools/nxown` checks that discipline per function
- * over a path-sensitive CFG walk; these macros declare which calls
- * move a resource between states.
+ * name claims both. `tools/nxown` checks it per function over a
+ * path-sensitive CFG walk; these macros declare which calls move a
+ * resource between states.
  *
  * Each macro takes a *tag* naming the resource class (an identifier,
- * e.g. `pool_buffer`, `job_ticket`); acquire/release pairs match only
- * within a tag.
+ * e.g. `job_ticket`); acquire/release pairs match only within a tag.
  *
- *     class BufferPool {
- *       class Lease {
- *         ~Lease() NXSIM_RELEASES(pool_buffer);        // RAII holder
- *         void release() NXSIM_RELEASES(pool_buffer);
- *       };
- *       Lease acquire(size_t) NXSIM_ACQUIRES(pool_buffer);
- *       void releaseSlab(uint8_t *p) NXSIM_RELEASES(pool_buffer);
+ *     class JobServer {
+ *       SubmitResult submitAsync(JobSpec spec, int window)
+ *           NXSIM_ACQUIRES(job_ticket);
+ *       AsyncJob wait(Ticket t) NXSIM_RELEASES(job_ticket);  // one
+ *       std::vector<AsyncJob> drain() NXSIM_RELEASES(job_ticket);  // all
  *     };
  *
  * NXSIM_ACQUIRES(tag)   — the call's result holds one unit of `tag`.
@@ -35,11 +31,13 @@
  *                         returned holder is RAII and exits clean.
  * NXSIM_RELEASES(tag)   — the call consumes one unit. On a destructor
  *                         it marks the class as an RAII holder; with
- *                         no arguments on a method of an acquiring
- *                         class it drains *all* live handles of the
- *                         tag (JobServer::drainAndStop); releasing
- *                         twice is own-double-release, releasing a
- *                         handle already transferred away is
+ *                         no arguments it drains the live handles of
+ *                         the tag that were acquired through the same
+ *                         receiver (`srv.drain()` claims what
+ *                         `srv.submitAsync()` issued; a call with no
+ *                         receiver drains them all); releasing twice
+ *                         is own-double-release, releasing a handle
+ *                         already transferred away is
  *                         own-release-unacquired.
  * NXSIM_TRANSFERS(tag)  — the call passes ownership elsewhere (into a
  *                         queue, another thread, the caller); the

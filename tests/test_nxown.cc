@@ -7,10 +7,10 @@
  * (std::move, return, NXSIM_TRANSFERS, unknown callees), derived
  * cross-function summaries over the call graph, and the shared
  * suppression grammar. The real-tree invocation (which must be clean)
- * runs both here and as the separate `nxown` ctest; the inversion
- * differential — dropping the pool_buffer release annotations must
- * surface the real acquire sites — is the evidence that the clean run
- * is earned rather than vacuous.
+ * runs both here and as the separate `nxown` ctest; the real-code
+ * differential — the tree with Session's one ticket claim duplicated
+ * must fire exactly that double release — is the evidence that the
+ * clean run is earned rather than vacuous.
  */
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fileset.h"
 #include "nxown/nxown.h"
 
 namespace {
@@ -26,7 +27,6 @@ namespace {
 using nxown::analyzeFiles;
 using nxown::analyzeTree;
 using nxown::Finding;
-using nxown::Options;
 using nxown::SourceFile;
 
 /** Canonical vocabulary used by most fixtures: a non-RAII int handle
@@ -524,6 +524,43 @@ TEST(NxownTicket, TwoTicketsAreIndependent)
     EXPECT_TRUE(fs.empty()) << dump(fs);
 }
 
+TEST(NxownTicket, DrainOfAnotherServerLeavesTheTicketToItsWait)
+{
+    // b.drain() claims what b issued, not a's ticket.
+    auto fs = run("void f(Srv &a, Srv &b) {\n"
+                  "    auto r = a.submit(spec);\n"
+                  "    (void)b.drain();\n"
+                  "    (void)a.wait(r.ticket);\n"
+                  "}\n",
+                  kTicketDecl);
+    EXPECT_TRUE(fs.empty()) << dump(fs);
+}
+
+TEST(NxownTicket, TicketOnlyAnotherServerDrainedLeaks)
+{
+    auto fs = run("void f(Srv &a, Srv &b) {\n"
+                  "    auto r = a.submit(spec);\n"
+                  "    (void)b.drain();\n"
+                  "}\n",
+                  kTicketDecl);
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-leak");
+    EXPECT_EQ(fs[0].line, 8);
+}
+
+TEST(NxownTicket, WaitAfterItsOwnServerDrainedFires)
+{
+    auto fs = run("void f(Srv &a) {\n"
+                  "    auto r = a.submit(spec);\n"
+                  "    (void)a.drain();\n"
+                  "    (void)a.wait(r.ticket);\n"
+                  "}\n",
+                  kTicketDecl);
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-double-release");
+    EXPECT_EQ(fs[0].line, 10);
+}
+
 TEST(NxownTicket, WaitInBranchThenJoinStaysClean)
 {
     auto fs = run("void f(Srv &srv, bool c) {\n"
@@ -617,7 +654,7 @@ TEST(NxownAnnotation, MalformedTagAndPlacementAreReported)
 TEST(NxownAnnotation, SiblingAnnotationGroupsAreSkipped)
 {
     // Thread-safety annotations sit between the parameter list and the
-    // ownership macro on the real BufferPool::acquire; the harvester
+    // ownership macro on the real JobServer::submitAsync; the harvester
     // walks over them.
     auto fs = run("int f(Pool &p) {\n"
                   "    auto h = p.acquire(4);\n"
@@ -673,62 +710,35 @@ TEST(NxownTree, RealTreeIsClean)
     EXPECT_TRUE(fs.empty()) << dump(fs);
 }
 
-TEST(NxownTree, InvertingPoolReleasesSurfacesRealAcquires)
+TEST(NxownTree, DuplicatedRealTicketClaimFiresOnce)
 {
-    // The differential that keeps the clean run honest: drop every
-    // pool_buffer RELEASES annotation (including the Lease RAII
-    // destructor) and each real BufferPool::acquire call site must
-    // surface as an own-leak — in particular the Session hot path.
-    Options opt;
-    opt.ignoreReleaseTags = {"pool_buffer"};
-    auto fs = analyzeTree(NXSIM_SOURCE_DIR, opt);
-    ASSERT_FALSE(fs.empty()) << "inversion surfaced nothing";
-    for (const Finding &f : fs)
-        EXPECT_EQ(f.rule, "own-leak") << dump(fs);
-    EXPECT_TRUE(std::any_of(fs.begin(), fs.end(), [](const Finding &f) {
-        return f.file == "src/core/session.cc";
-    })) << dump(fs);
-}
+    // The differential that keeps the clean run honest: the real tree
+    // with Session's one ticket claim duplicated must fire exactly one
+    // own-double-release, at the copy, and nothing else.
+    auto load = nxcommon::loadTree(NXSIM_SOURCE_DIR,
+                                   {"src", "tools", "bench", "examples",
+                                    "fuzz"});
+    ASSERT_TRUE(load.ioErrors.empty()) << dump(load.ioErrors);
+    auto session = std::find_if(
+        load.files.begin(), load.files.end(), [](const SourceFile &f) {
+            return f.path == "src/core/session.cc";
+        });
+    ASSERT_NE(session, load.files.end());
+    std::string &text = session->content;
+    size_t claim = text.find("server_->wait(sub.ticket);");
+    ASSERT_NE(claim, std::string::npos);
+    const int claimLine = 1 + static_cast<int>(std::count(
+        text.begin(), text.begin() + static_cast<std::ptrdiff_t>(claim),
+        '\n'));
+    size_t begin = text.rfind('\n', claim) + 1;
+    size_t end = text.find('\n', claim) + 1;
+    text.insert(end, text.substr(begin, end - begin));
 
-TEST(NxownTree, IgnoreReleaseTagsDropsReleasesAndRaiiMarkers)
-{
-    // The knob itself, on a deterministic fixture: code that balances
-    // via an explicit receiver release and code that relies on a RAII
-    // destructor both turn into leaks once their tag's RELEASES
-    // annotations are ignored. (A dropped by-arg release decays into
-    // an unknown callee, which conservatively guards the handle — so
-    // the differential signal comes from receiver and RAII forms, the
-    // shapes the real Lease uses.)
-    std::vector<SourceFile> files;
-    files.push_back({"src/fix.cc",
-                     "struct Lease {\n"
-                     "    ~Lease() NXSIM_RELEASES(raii_buf);\n"
-                     "};\n"
-                     "struct CLease {\n"
-                     "    void close() NXSIM_RELEASES(expl_buf);\n"
-                     "};\n"
-                     "struct RaiiPool {\n"
-                     "    Lease take(int n) NXSIM_ACQUIRES(raii_buf);\n"
-                     "};\n"
-                     "struct CPool {\n"
-                     "    CLease grab(int n) NXSIM_ACQUIRES(expl_buf);\n"
-                     "};\n"
-                     "int f(CPool &p) {\n"
-                     "    auto h = p.grab(4);\n"
-                     "    h.close();\n"
-                     "    return 0;\n"
-                     "}\n"
-                     "int g(RaiiPool &p) {\n"
-                     "    auto l = p.take(8);\n"
-                     "    return 0;\n"
-                     "}\n"});
-    EXPECT_TRUE(analyzeFiles(files).empty());
-    Options both;
-    both.ignoreReleaseTags = {"expl_buf", "raii_buf"};
-    auto fs = analyzeFiles(files, both);
-    ASSERT_EQ(fs.size(), 2u) << dump(fs);
-    EXPECT_EQ(fs[0].rule, "own-leak");
-    EXPECT_EQ(fs[1].rule, "own-leak");
+    auto fs = analyzeFiles(load.files);
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "own-double-release");
+    EXPECT_EQ(fs[0].file, "src/core/session.cc");
+    EXPECT_EQ(fs[0].line, claimLine + 1);   // the copy
 }
 
 } // namespace

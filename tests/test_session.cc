@@ -16,7 +16,8 @@
  *    threshold boundary, and is visible in stats();
  *  - fault injection: busy exhaustion, closed windows, retryable and
  *    terminal device faults all complete the request correctly in
- *    software and are counted;
+ *    software and are counted, while a corrupt stream is rejected
+ *    once, by the route that read it;
  *  - output cap: maxOutputBytes bounds every decompress on both routes,
  *    and a cap past what one DDE describes still runs on the device;
  *  - multi-member gzip: both routes decode every member under one cap
@@ -458,21 +459,56 @@ TEST(SessionFaults, ClosedServerFallsBack)
     sess.close();
 }
 
+/**
+ * Decompress the corrupt @p stream on each route: the device leg
+ * answers the engine's BadData itself (one submit, no fallback, since
+ * the software leg reads through the same decoder under the same cap),
+ * and the software route rejects it too.
+ */
+void
+expectCorruptStreamFailsOnBothPaths(SessionFormat f,
+                                    std::span<const uint8_t> stream)
+{
+    for (bool software : {false, true}) {
+        SCOPED_TRACE(software ? "forceSoftware" : "device");
+        auto pol = basePolicy(f);
+        pol.accelThresholdBytes = 1;
+        pol.forceSoftware = software;
+        Session sess(testChip(), pol);
+        auto res = sess.decompress(stream);
+        EXPECT_FALSE(res.ok);
+        EXPECT_TRUE(res.data.empty());
+        EXPECT_FALSE(res.fellBack);
+        EXPECT_EQ(res.deviceSubmits, software ? 0 : 1);
+        auto st = sess.stats();
+        EXPECT_EQ(st.fallbacks, 0u);
+        EXPECT_EQ(st.deviceFaults, software ? 0u : 1u);
+        if (!software) {
+            EXPECT_EQ(res.backend, Backend::Accelerator);
+            EXPECT_EQ(res.error, "accelerator: BadData");
+        } else {
+            EXPECT_EQ(res.backend, Backend::Software);
+            EXPECT_FALSE(res.error.empty());
+        }
+        sess.close();
+    }
+}
+
 TEST(SessionFaults, CorruptStreamFailsOnBothPaths)
 {
     auto payload = workloads::makeText(4 * kThreshold, 15);
     auto stream = swCompress(SessionFormat::Gzip, 6, payload);
     stream[stream.size() / 2] ^= 0xFF;   // corrupt the deflate body
+    expectCorruptStreamFailsOnBothPaths(SessionFormat::Gzip, stream);
+}
 
-    auto pol = basePolicy(SessionFormat::Gzip);
-    pol.accelThresholdBytes = 1;   // device path first
-    Session sess(testChip(), pol);
-    auto res = sess.decompress(stream);
-    EXPECT_FALSE(res.ok);
-    EXPECT_FALSE(res.error.empty());
-    // BadData is terminal on the device, then software also rejects.
-    EXPECT_TRUE(res.fellBack);
-    sess.close();
+TEST(SessionFaults, Corrupt842StreamFailsOnBothPaths)
+{
+    auto payload = workloads::makeText(4 * kThreshold, 16);
+    auto stream = swCompress(SessionFormat::E842, 0, payload);
+    stream.resize(stream.size() / 2);   // cut the stream mid-template
+    ASSERT_FALSE(e842::decompress(stream).ok);
+    expectCorruptStreamFailsOnBothPaths(SessionFormat::E842, stream);
 }
 
 // ---------------------------------------------------------------------------
@@ -612,8 +648,10 @@ TEST(SessionMultiMember, TrailingBytesFailWithBadDataOnBothRoutes)
         EXPECT_TRUE(res.data.empty());
         EXPECT_NE(res.error.find("BadData"), std::string::npos)
             << res.error;
-        // BadData is terminal on the device, then software rejects too.
-        EXPECT_EQ(res.fellBack, !software);
+        // Each route answers once: the device leg does not fall back
+        // to a software leg that reads the same bytes the same way.
+        EXPECT_FALSE(res.fellBack);
+        EXPECT_EQ(res.deviceSubmits, software ? 0 : 1);
         sess.close();
     }
 }
@@ -689,7 +727,7 @@ TEST(SessionMultiMember, BothLegsReportTheWholeOutputChecksum)
 }
 
 // ---------------------------------------------------------------------------
-// Stats and pool integration.
+// Stats.
 // ---------------------------------------------------------------------------
 
 TEST(SessionStats, CountersAddUpAcrossMixedTraffic)
@@ -713,30 +751,13 @@ TEST(SessionStats, CountersAddUpAcrossMixedTraffic)
     EXPECT_EQ(st.bytesIn, expectIn);
     EXPECT_GT(st.bytesOut, 0u);
     EXPECT_EQ(st.fallbacks, 0u);
-    // Every accel-routed request staged exactly one pool buffer, all
-    // released by request end, all served from the same hot slab.
-    EXPECT_EQ(st.pool.acquires, st.accelRouted);
-    EXPECT_EQ(st.pool.releases, st.pool.acquires);
-    EXPECT_EQ(st.pool.poolHits, st.pool.acquires);
-    EXPECT_EQ(st.pool.heapFallbacks, 0u);
-    EXPECT_EQ(st.pool.freeSlabs, st.pool.slabCount);
-    sess.close();
-}
-
-TEST(SessionStats, ExhaustedPoolStillServesRequests)
-{
-    nx::BufferPoolConfig pool;
-    pool.slabCount = 0;   // every staging acquire heap-falls-back
-    auto pol = basePolicy(SessionFormat::Gzip);
-    pol.accelThresholdBytes = 1;
-    Session sess(testChip(), pol, pool);
-    auto payload = workloads::makeText(4096, 21);
-    auto res = sess.compress(payload);
-    ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.backend, Backend::Accelerator);
-    auto st = sess.stats();
-    EXPECT_EQ(st.pool.heapFallbacks, 1u);
+    // Nothing stages a request: the pool counters stay zero after the
+    // accel-routed requests.
+    EXPECT_EQ(st.pool.acquires, 0u);
+    EXPECT_EQ(st.pool.releases, 0u);
     EXPECT_EQ(st.pool.poolHits, 0u);
+    EXPECT_EQ(st.pool.heapFallbacks, 0u);
+    EXPECT_EQ(st.pool.pinnedBytes, 0u);
     sess.close();
 }
 

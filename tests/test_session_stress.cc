@@ -116,11 +116,6 @@ TEST(SessionStress, ManySessionsSharedServerWithFaultsAllRoundTrip)
         EXPECT_EQ(st.requests, 2 * kRequests) << "session " << s;
         EXPECT_EQ(st.softwareRouted + st.accelRouted, st.requests);
         EXPECT_LE(st.fallbacks, st.accelRouted);
-        // Each accel-routed request stages exactly one pool buffer
-        // and returns it before completing.
-        EXPECT_EQ(st.pool.acquires, st.accelRouted);
-        EXPECT_EQ(st.pool.releases, st.pool.acquires);
-        EXPECT_EQ(st.pool.freeSlabs, st.pool.slabCount);
         requests += st.requests;
         fallbacks += st.fallbacks;
         deviceFaults += st.deviceFaults;
@@ -255,7 +250,6 @@ TEST(SessionStress, OneSessionManyThreads)
               static_cast<uint64_t>(2 * kThreads * kPerThread));
     EXPECT_EQ(st.softwareRouted + st.accelRouted, st.requests);
     EXPECT_EQ(st.fallbacks, 0u);   // no injector, no backpressure cliff
-    EXPECT_EQ(st.pool.releases, st.pool.acquires);
     sess.close();
 }
 

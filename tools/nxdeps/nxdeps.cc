@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "common/allow.h"
+#include "common/cycles.h"
 #include "common/fileset.h"
 #include "common/lexer.h"
 
@@ -210,60 +211,20 @@ struct Edge
     int line;
 };
 
-/**
- * DFS three-color cycle scan. For every back edge, reports the cycle
- * as the chain of node names from the revisited node to the top of
- * the stack. Nodes are visited in index order, so reports are
- * deterministic for a sorted input.
- */
+/** Report every cycle of @p adj as a @p rule finding at its closing
+ * include. */
 void
-findCycles(const std::vector<std::vector<Edge>> &adj,
-           const std::vector<std::string> &names,
-           const std::vector<SourceFile> &files, std::string_view rule,
-           std::string_view what, std::vector<Finding> &out)
+reportCycles(const std::vector<std::vector<Edge>> &adj,
+             const std::vector<std::string> &names,
+             const std::vector<SourceFile> &files, std::string_view rule,
+             std::string_view what, std::vector<Finding> &out)
 {
-    enum class Color { White, Grey, Black };
-    std::vector<Color> color(adj.size(), Color::White);
-    std::vector<size_t> stack;
-
-    struct Frame
-    {
-        size_t node;
-        size_t next = 0;
-    };
-
-    for (size_t start = 0; start < adj.size(); ++start) {
-        if (color[start] != Color::White)
-            continue;
-        std::vector<Frame> frames{{start}};
-        color[start] = Color::Grey;
-        stack.push_back(start);
-        while (!frames.empty()) {
-            Frame &f = frames.back();
-            if (f.next >= adj[f.node].size()) {
-                color[f.node] = Color::Black;
-                stack.pop_back();
-                frames.pop_back();
-                continue;
-            }
-            const Edge &e = adj[f.node][f.next++];
-            if (color[e.to] == Color::Grey) {
-                // Back edge: the cycle is stack[pos..] plus this edge.
-                auto pos = std::find(stack.begin(), stack.end(), e.to);
-                std::string chain;
-                for (auto it = pos; it != stack.end(); ++it)
-                    chain += names[*it] + " -> ";
-                chain += names[e.to];
-                out.push_back(
-                    {files[e.fileIdx].path, e.line, std::string(rule),
-                     std::string(what) + " cycle: " + chain});
-            } else if (color[e.to] == Color::White) {
-                color[e.to] = Color::Grey;
-                stack.push_back(e.to);
-                frames.push_back({e.to});
-            }
-        }
-    }
+    nxcommon::forEachCycle(adj, [&](const std::vector<size_t> &chain,
+                                    const Edge &e) {
+        out.push_back({files[e.fileIdx].path, e.line, std::string(rule),
+                       std::string(what) + " cycle: " +
+                           nxcommon::cycleText(chain, names)});
+    });
 }
 
 } // namespace
@@ -422,13 +383,14 @@ analyzeFiles(const std::vector<SourceFile> &files)
     std::vector<std::string> fileNames(files.size());
     for (size_t i = 0; i < files.size(); ++i)
         fileNames[i] = files[i].path;
-    findCycles(fileAdj, fileNames, files, "include-cycle", "include",
-               raw);
+    reportCycles(fileAdj, fileNames, files, "include-cycle", "include",
+                 raw);
 
     std::vector<std::vector<Edge>> modAdj(moduleNames.size());
     for (const auto &kv : moduleEdges)
         modAdj[kv.first.first].push_back(kv.second);
-    findCycles(modAdj, moduleNames, files, "module-cycle", "module", raw);
+    reportCycles(modAdj, moduleNames, files, "module-cycle", "module",
+                 raw);
 
     // Apply suppressions per owning file (the shared post-pass also
     // reports unused allows as stale-allow; bare-allow findings are

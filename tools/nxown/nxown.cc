@@ -41,6 +41,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <tuple>
 #include <utility>
 
@@ -96,7 +97,7 @@ enum class RelKind
 {
     Receiver, ///< method of a holder class: `lease.release()`
     ByArg,    ///< consumes the handle rooted at an argument: `wait(r.ticket)`
-    DrainAll, ///< releases every live handle of the tag: `drainAndStop()`
+    DrainAll, ///< releases the tag's live handles: `srv.drainAndStop()`
 };
 
 /** One raw annotation, before classification. */
@@ -250,15 +251,13 @@ harvestFile(const std::vector<Token> &t, std::string_view file,
 }
 
 Tables
-classify(const std::vector<RawAnn> &anns, const Options &opt)
+classify(const std::vector<RawAnn> &anns)
 {
     // Holder types: whatever the acquire functions return; RAII holder
     // types additionally declare a RELEASES destructor.
     std::set<std::string> holders;
     std::set<std::pair<std::string, std::string>> raii; // (class, tag)
     for (const RawAnn &a : anns) {
-        if (a.macro == 1 && opt.ignoreReleaseTags.count(a.tag) != 0)
-            continue; // the inversion knob drops RAII markers too
         if (a.macro == 0 && !a.ret.empty() && a.ret != "void" &&
             a.ret != "auto")
             holders.insert(a.ret);
@@ -270,7 +269,7 @@ classify(const std::vector<RawAnn> &anns, const Options &opt)
         if (a.macro == 0) {
             tb.acquires[a.fn] = {a.tag, raii.count({a.ret, a.tag}) != 0};
         } else if (a.macro == 1) {
-            if (opt.ignoreReleaseTags.count(a.tag) != 0 || a.isDtor)
+            if (a.isDtor)
                 continue;
             RelKind kind = RelKind::DrainAll;
             if (holders.count(a.cls) != 0)
@@ -306,6 +305,7 @@ struct Handle
 {
     std::string tag;
     std::string what;       ///< acquire description for the message
+    std::string via;        ///< receiver root of the acquire ("" free call)
     unsigned states = kHeld;
     bool guarded = false;   ///< a condition/contract mentioned it
     bool raii = false;      ///< holder type has a RELEASES destructor
@@ -463,7 +463,8 @@ class Walk
         const std::string &var = t_[i - 1].text;
         std::string tag, what;
         bool raii = false;
-        if (!findAcquire(i + 1, e, tag, raii, what)) {
+        size_t call = findAcquire(i + 1, e, tag, raii, what);
+        if (call == e) {
             auto it = st.find(rootOf(simplePath(t_, i + 1, e)));
             if (it != st.end() && it->first != var)
                 st.copies[var] = it->first;
@@ -473,15 +474,16 @@ class Walk
         h.tag = tag;
         h.raii = raii;
         h.what = what;
+        h.via = receiverRoot(call);
         h.line = t_[i - 1].line;
         st.copies.erase(var);
         st.handles[var] = std::move(h);
     }
 
-    /** Is there an acquiring call in [b, e)? Annotated acquire
-     * functions and resolved callees whose summary returns a held
-     * handle both count. */
-    bool
+    /** The name token of the first acquiring call in [b, e), or e:
+     * an annotated acquire function, or a resolved callee whose
+     * summary returns a held handle. */
+    size_t
     findAcquire(size_t b, size_t e, std::string &tag, bool &raii,
                 std::string &what)
     {
@@ -493,7 +495,7 @@ class Walk
                 tag = acq->second.tag;
                 raii = acq->second.raii;
                 what = t_[i].text + "()";
-                return true;
+                return i;
             }
             const CallSite *cs = g_.callAt(fn_.fileIdx, i);
             if (cs != nullptr && cs->target >= 0 &&
@@ -501,10 +503,10 @@ class Walk
                 tag = sums_[static_cast<size_t>(cs->target)].returnsTag;
                 raii = false;
                 what = t_[i].text + "() (returns a held handle)";
-                return true;
+                return i;
             }
         }
-        return false;
+        return e;
     }
 
     void
@@ -562,7 +564,7 @@ class Walk
                     recordParamConsume(root, tag);
             }
             for (const std::string &tag : s.drains)
-                drainTag(tag, st);
+                drainTag(tag, "", st);
             return;
         }
 
@@ -592,7 +594,7 @@ class Walk
     {
         int line = t_[i].line;
         if (kind == RelKind::DrainAll) {
-            drainTag(tag, st);
+            drainTag(tag, receiverRoot(i), st);
             if (sum_ != nullptr && sum_->drains.insert(tag).second)
                 sumChanged_ = true;
             return;
@@ -638,11 +640,14 @@ class Walk
         h.states = kReleased;
     }
 
+    /** A drain through receiver root @p via ("": none) releases the
+     * tag's handles acquired through that root or through none. */
     void
-    drainTag(const std::string &tag, PathState &st)
+    drainTag(const std::string &tag, const std::string &via, PathState &st)
     {
         for (auto &[name, h] : st.handles)
-            if (h.tag == tag)
+            if (h.tag == tag &&
+                (via.empty() || h.via.empty() || h.via == via))
                 h.states = kReleased;
     }
 
@@ -675,7 +680,7 @@ class Walk
             std::string what;
             bool raii = false;
             std::string found;
-            if (findAcquire(b, e, found, raii, what))
+            if (findAcquire(b, e, found, raii, what) != e)
                 tag = found;
         }
         if (!tag.empty() && sum_->returnsTag.empty()) {
@@ -759,7 +764,7 @@ rules()
 }
 
 std::vector<Finding>
-analyzeFiles(const std::vector<SourceFile> &files, const Options &opt)
+analyzeFiles(const std::vector<SourceFile> &files)
 {
     size_t n = files.size();
     std::vector<std::vector<Allow>> allows(n);
@@ -779,7 +784,7 @@ analyzeFiles(const std::vector<SourceFile> &files, const Options &opt)
     std::vector<RawAnn> anns;
     for (size_t i = 0; i < n; ++i)
         harvestFile(graph.tokens(i), files[i].path, anns, rawByFile[i]);
-    Tables tables = classify(anns, opt);
+    Tables tables = classify(anns);
 
     std::vector<OwnSummary> sums(graph.functions().size());
     graph.forEachBottomUp([&](int id) {
@@ -809,12 +814,12 @@ analyzeFiles(const std::vector<SourceFile> &files, const Options &opt)
 }
 
 std::vector<Finding>
-analyzeTree(const std::string &root, const Options &opt)
+analyzeTree(const std::string &root)
 {
     nxcommon::TreeLoad load = nxcommon::loadTree(
         root, {"src", "tools", "bench", "examples", "fuzz"});
     std::vector<Finding> out = std::move(load.ioErrors);
-    for (Finding &f : analyzeFiles(load.files, opt))
+    for (Finding &f : analyzeFiles(load.files))
         out.push_back(std::move(f));
     return out;
 }

@@ -6,28 +6,30 @@
  * include edges, nxtaint: values, nxstate: lifecycles). nxown checks
  * *ownership*: resources that must be released exactly once on every
  * path. The accelerator protocol is built from exactly such hand-offs
- * — a pinned pool buffer is acquired, pasted, and must come back on
- * the success path, the busy-exhaustion fallback, the translation-
- * fault resubmit ladder, and every early return; JobServer tickets
- * are issued by submit and consumed by exactly one wait/drain. nxown
- * is the one checker of that ticket lifecycle.
+ * — a JobServer ticket is issued by submit and must be consumed by
+ * exactly one wait/drain on the success path, the translation-fault
+ * resubmit ladder, and every early return. nxown is the one checker
+ * of that ticket lifecycle.
  *
  * The vocabulary lives in src/util/ownership.h:
  *
- *     Lease acquire(size_t) NXSIM_ACQUIRES(pool_buffer);
- *     void release() NXSIM_RELEASES(pool_buffer);
+ *     SubmitResult submitAsync(JobSpec, int) NXSIM_ACQUIRES(job_ticket);
  *     AsyncJob wait(Ticket t) NXSIM_RELEASES(job_ticket);
+ *     std::vector<AsyncJob> drain() NXSIM_RELEASES(job_ticket);
  *
  * A RELEASES destructor marks the class as an RAII holder (its
  * handles exit clean); RELEASES on a parameterless non-holder method
- * drains every live handle of the tag (JobServer::drainAndStop);
- * RELEASES with parameters consumes the handle rooted at an argument
- * (wait(sub.ticket) releases `sub`). A copy of a bound handle
- * (`auto u = t;`, `Ticket t = sub.ticket;`) names the same handle, so
- * a release through either name releases both. NXSIM_TRANSFERS — and
- * returning a handle, std::move, or passing it whole to a function the
- * analyzer cannot see into — ends the local obligation without a
- * release, so unknown callees are never findings.
+ * drains the live handles of the tag acquired through the same
+ * receiver root (`b.drain()` claims what `b.submit()` issued, not
+ * what `a.submit()` did), or all of them when called without a
+ * receiver; RELEASES with parameters consumes the handle rooted at
+ * an argument (wait(sub.ticket) releases `sub`). A copy of a bound
+ * handle (`auto u = t;`, `Ticket t = sub.ticket;`) names the same
+ * handle, so a release through either name releases both.
+ * NXSIM_TRANSFERS — and returning a handle, std::move, or passing it
+ * whole to a function the analyzer cannot see into — ends the local
+ * obligation without a release, so unknown callees are never
+ * findings.
  *
  * Each function body is walked by the CFG walker shared with nxstate
  * and nxtaint (tools/common/cfg_walk.h: if/else forks and joins, loop bodies
@@ -68,7 +70,6 @@
 #ifndef NXSIM_NXOWN_NXOWN_H
 #define NXSIM_NXOWN_NXOWN_H
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,19 +82,6 @@ using Finding = nxcommon::Finding;
 using RuleInfo = nxcommon::RuleInfo;
 using nxcommon::SourceFile;
 
-/** Analysis knobs. */
-struct Options
-{
-    /**
-     * Drop every NXSIM_RELEASES annotation carrying one of these tags
-     * before analyzing — the differential check: inverting the
-     * release annotation of a resource must surface every real
-     * acquire site as an own-leak (tests/test_nxown.cc holds the tree
-     * to exactly that).
-     */
-    std::set<std::string> ignoreReleaseTags;
-};
-
 /** All rules, in the order they are checked. */
 const std::vector<RuleInfo> &rules();
 
@@ -101,8 +89,7 @@ const std::vector<RuleInfo> &rules();
  * graph, derived summaries bottom-up, then the per-function CFG walk.
  * Findings are grouped by file in input order. */
 [[nodiscard]] std::vector<Finding>
-analyzeFiles(const std::vector<SourceFile> &files,
-             const Options &opt = {});
+analyzeFiles(const std::vector<SourceFile> &files);
 
 /**
  * Walk @p root's src/, tools/, bench/, examples/ and fuzz/ trees (or
@@ -111,7 +98,7 @@ analyzeFiles(const std::vector<SourceFile> &files,
  * double-release on purpose. Unreadable files produce io-error.
  */
 [[nodiscard]] std::vector<Finding>
-analyzeTree(const std::string &root, const Options &opt = {});
+analyzeTree(const std::string &root);
 
 /** Render a finding as `file:line: rule-id: message`. */
 std::string format(const Finding &f);

@@ -46,6 +46,7 @@
 #include "common/allow.h"
 #include "common/callgraph.h"
 #include "common/cfg_walk.h"
+#include "common/cycles.h"
 #include "common/fileset.h"
 #include "common/lexer.h"
 #include "common/tokens.h"
@@ -703,50 +704,15 @@ lockScan(const std::vector<Token> &t, size_t b, size_t e,
 void
 lockCycles(const LockGraph &lg, std::vector<Finding> &out)
 {
-    size_t n = lg.names.size();
-    std::vector<std::vector<std::pair<size_t, const LockEdge *>>> adj(n);
+    std::vector<std::vector<LockEdge>> adj(lg.names.size());
     for (const auto &kv : lg.edges)
-        adj[kv.first.first].emplace_back(kv.first.second, &kv.second);
-
-    enum class Color { White, Grey, Black };
-    std::vector<Color> color(n, Color::White);
-    std::vector<size_t> stack;
-    struct Frame
-    {
-        size_t node;
-        size_t next = 0;
-    };
-    for (size_t start = 0; start < n; ++start) {
-        if (color[start] != Color::White)
-            continue;
-        std::vector<Frame> frames{{start}};
-        color[start] = Color::Grey;
-        stack.push_back(start);
-        while (!frames.empty()) {
-            Frame &f = frames.back();
-            if (f.next >= adj[f.node].size()) {
-                color[f.node] = Color::Black;
-                stack.pop_back();
-                frames.pop_back();
-                continue;
-            }
-            auto [to, edge] = adj[f.node][f.next++];
-            if (color[to] == Color::Grey) {
-                auto pos = std::find(stack.begin(), stack.end(), to);
-                std::string chain;
-                for (auto it = pos; it != stack.end(); ++it)
-                    chain += lg.names[*it] + " -> ";
-                chain += lg.names[to];
-                out.push_back({edge->file, edge->line, "lock-cycle",
-                               "lock-order cycle (potential deadlock): " +
-                                   chain});
-            } else if (color[to] == Color::White) {
-                color[to] = Color::Grey;
-                stack.push_back(to);
-                frames.push_back({to});
-            }
-        }
-    }
+        adj[kv.first.first].push_back(kv.second);
+    nxcommon::forEachCycle(adj, [&](const std::vector<size_t> &chain,
+                                    const LockEdge &e) {
+        out.push_back({e.file, e.line, "lock-cycle",
+                       "lock-order cycle (potential deadlock): " +
+                           nxcommon::cycleText(chain, lg.names)});
+    });
 }
 
 std::string
