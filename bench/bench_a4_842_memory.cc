@@ -33,17 +33,11 @@ runDeflate(const nx::NxConfig &cfg, std::span<const uint8_t> data,
     uint64_t out = 0;
     int jobs = 0;
     for (size_t off = 0; off + job <= data.size(); off += job) {
-        nx::Crb crb;
-        crb.func = job <= 32 * 1024 ? nx::FuncCode::CompressFht
-                                    : nx::FuncCode::CompressDht;
-        crb.framing = nx::Framing::Raw;
-        crb.source = nx::DdeList::direct(0,
-            static_cast<uint32_t>(job));
-        crb.target = nx::DdeList::direct(0,
-            static_cast<uint32_t>(job * 2 + 4096));
-        auto res = eng.run(crb, data.subspan(off, job));
-        secs += cfg.clock.toSeconds(res.timing.total());
-        out += res.output.size();
+        auto res = core::runCompressJob(eng, cfg, data.subspan(off, job),
+                                        nx::Framing::Raw, core::Mode::Auto,
+                                        0);
+        secs += res.seconds;
+        out += res.data.size();
         ++jobs;
     }
     double total = static_cast<double>(job) * jobs;

@@ -39,19 +39,12 @@ main()
            util::Table::fmt(az.ratio / ap.ratio, 3)});
 
     // Small-request latency (64 KiB FHT), the user-visible metric.
-    for (const auto *cfg : {&p9, &z15}) {
-        (void)cfg;
-    }
     auto latency = [&](const nx::NxConfig &cfg) {
         nx::CompressEngine eng(cfg);
-        nx::Crb crb;
-        crb.func = nx::FuncCode::CompressFht;
-        crb.framing = nx::Framing::Gzip;
-        crb.source = nx::DdeList::direct(0, 64 << 10);
-        crb.target = nx::DdeList::direct(0, 160 << 10);
-        auto job = eng.run(crb,
-            std::span<const uint8_t>(data.data(), 64 << 10));
-        return cfg.clock.toSeconds(job.timing.total()) * 1e6;
+        auto job = core::runCompressJob(
+            eng, cfg, std::span<const uint8_t>(data.data(), 64 << 10),
+            nx::Framing::Gzip, core::Mode::Fht, 0);
+        return job.seconds * 1e6;
     };
     double lp = latency(p9);
     double lz = latency(z15);

@@ -40,15 +40,9 @@ main()
         std::span<const uint8_t> src(full.data(), size);
 
         nx::CompressEngine eng(cfg);
-        nx::Crb crb;
-        crb.func = size < 32 * 1024 ? nx::FuncCode::CompressFht
-                                    : nx::FuncCode::CompressDht;
-        crb.framing = nx::Framing::Gzip;
-        crb.source = nx::DdeList::direct(0x1000,
-            static_cast<uint32_t>(size));
-        crb.target = nx::DdeList::direct(0x2000000,
-            static_cast<uint32_t>(size * 2 + 4096));
-        auto job = eng.run(crb, src);
+        auto job = eng.run(nx::compressCrb(
+            core::compressFunc(core::Mode::Auto, size), nx::Framing::Gzip,
+            size), src);
         if (job.csb.cc != nx::CondCode::Success)
             continue;
 

@@ -32,13 +32,8 @@ run(const nx::NxConfig &cfg, std::span<const uint8_t> data,
     const size_t job = 1 << 20;
     for (size_t off = 0; off < data.size(); off += job) {
         size_t n = std::min(job, data.size() - off);
-        nx::Crb crb;
-        crb.func = func;
-        crb.framing = nx::Framing::Raw;
-        crb.source = nx::DdeList::direct(0, static_cast<uint32_t>(n));
-        crb.target = nx::DdeList::direct(0,
-            static_cast<uint32_t>(n * 2 + 4096));
-        auto res = eng.run(crb, data.subspan(off, n), mode, sample);
+        auto res = eng.run(nx::compressCrb(func, nx::Framing::Raw, n),
+                           data.subspan(off, n), mode, sample);
         secs += cfg.clock.toSeconds(res.timing.total());
         out += res.output.size();
     }

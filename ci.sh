@@ -25,6 +25,7 @@
 #                      `codec`, `concurrency` and `model` ctest labels
 #                      and gates the line coverage of
 #                      src/core/session.cc, src/core/job_server.cc,
+#                      src/core/device.cc, src/e842/e842.cc,
 #                      src/deflate/inflate_stream.cc,
 #                      src/deflate/deflate_stream.cc,
 #                      src/deflate/lz77.cc, src/deflate/huffman.cc,

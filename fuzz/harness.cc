@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/device.h"
 #include "core/fault_injector.h"
 #include "core/session.h"
 #include "deflate/deflate_encoder.h"
@@ -14,7 +15,6 @@
 #include "deflate/zlib_stream.h"
 #include "e842/e842.h"
 #include "nx/compress_engine.h"
-#include "nx/crb.h"
 #include "util/crc32.h"
 
 namespace fuzz {
@@ -102,7 +102,7 @@ fuzzGzip(std::span<const uint8_t> data)
 int
 fuzzE842(std::span<const uint8_t> data)
 {
-    // Decode arbitrary bytes: must only ever fail via res.error.
+    // Decode arbitrary bytes: must only ever fail via res.status.
     auto dec = e842::decompress(data, kMaxOutput);
     if (dec.ok)
         FUZZ_CHECK(dec.bytes.size() <= kMaxOutput,
@@ -115,6 +115,11 @@ fuzzE842(std::span<const uint8_t> data)
     if (tiny.ok)
         FUZZ_CHECK(tiny.bytes.size() <= kTinyCap,
                    "e842 output exceeded small max_output");
+    // Past the cap is an overflow, never a corrupt stream.
+    if (dec.ok && dec.bytes.size() > kTinyCap)
+        FUZZ_CHECK(!tiny.ok &&
+                       tiny.status == e842::DecodeStatus::OutputLimit,
+                   "e842 stream past a small max_output is not OutputLimit");
 
     // Identity: our own encoder's output must decode to the input.
     auto enc = e842::compress(data);
@@ -163,18 +168,11 @@ fuzzRoundtrip(std::span<const uint8_t> data)
     // NX engine leg (model of the hardware compress pipeline).
     static nx::NxConfig cfg = nx::NxConfig::power9();
     static nx::CompressEngine eng(cfg);
-    nx::Crb crb;
-    crb.func = dht ? nx::FuncCode::CompressDht : nx::FuncCode::CompressFht;
-    crb.framing = nx::Framing::Raw;
-    crb.source = nx::DdeList::direct(
-        0x10000, static_cast<uint32_t>(payload.size()));
-    crb.target = nx::DdeList::direct(
-        0x20000,
-        static_cast<uint32_t>(payload.size() + payload.size() / 2 + 4096));
-    auto job = eng.run(crb, payload);
-    FUZZ_CHECK(job.csb.cc == nx::CondCode::Success,
-               "NX compress CRB failed on valid input");
-    auto nxDec = deflate::inflateDecompress(job.output,
+    auto job = core::runCompressJob(
+        eng, cfg, payload, nx::Framing::Raw,
+        dht ? core::Mode::DhtSampled : core::Mode::Fht, 0);
+    FUZZ_CHECK(job.ok(), "NX compress CRB failed on valid input");
+    auto nxDec = deflate::inflateDecompress(job.data,
                                             payload.size() + 64);
     FUZZ_CHECK(nxDec.ok(), "NX deflate stream does not inflate");
     FUZZ_CHECK(nxDec.bytes == swDec.bytes,

@@ -14,35 +14,33 @@ NxDevice::NxDevice(const nx::NxConfig &cfg)
 {
 }
 
+nx::FuncCode
+compressFunc(Mode mode, uint64_t source_bytes)
+{
+    const bool fht = mode == Mode::Fht ||
+        (mode == Mode::Auto && source_bytes < NxDevice::autoFhtThreshold());
+    return fht ? nx::FuncCode::CompressFht : nx::FuncCode::CompressDht;
+}
+
+nx::CondCode
+condCode(e842::DecodeStatus s)
+{
+    if (s == e842::DecodeStatus::Ok)
+        return nx::CondCode::Success;
+    return s == e842::DecodeStatus::OutputLimit
+        ? nx::CondCode::OutputOverflow : nx::CondCode::BadData;
+}
+
 JobResult
 runCompressJob(nx::CompressEngine &eng, const nx::NxConfig &cfg,
                std::span<const uint8_t> source, nx::Framing framing,
                Mode mode, uint64_t seq)
 {
-    Mode effective = mode;
-    if (mode == Mode::Auto) {
-        effective = source.size() < NxDevice::autoFhtThreshold()
-            ? Mode::Fht : Mode::DhtSampled;
-    }
-
-    nx::Crb crb;
-    crb.func = effective == Mode::Fht
-        ? nx::FuncCode::CompressFht : nx::FuncCode::CompressDht;
-    crb.framing = framing;
-    crb.source = nx::DdeList::direct(0x1000, nx::checked_cast<uint32_t>(
-        source.size()));
-    // Worst-case expansion: FHT emits 9-bit codes for literals
-    // 144-255, so incompressible data can grow by up to 12.5 %
-    // (plus framing). Stored-block fallback does not exist in FHT
-    // mode, so the target must cover the full bound.
-    crb.target = nx::DdeList::direct(0x2000000, nx::checked_cast<uint32_t>(
-        source.size() + source.size() / 7 + 1024));
-    crb.seq = seq;
-
-    nx::DhtMode dmode = effective == Mode::DhtTwoPass
-        ? nx::DhtMode::TwoPass : nx::DhtMode::Sampled;
-
-    auto res = eng.run(crb, source, dmode);
+    auto res = eng.run(nx::compressCrb(compressFunc(mode, source.size()),
+                                       framing, source.size(), seq),
+                       source,
+                       mode == Mode::DhtTwoPass ? nx::DhtMode::TwoPass
+                                                : nx::DhtMode::Sampled);
 
     JobResult out;
     out.csb = res.csb;
@@ -110,7 +108,6 @@ SoftwareCodec::compress(std::span<const uint8_t> source,
                                 source, level_);
     out.seconds = secondsSince(t0);
     out.csb.cc = nx::CondCode::Success;
-    out.csb.valid = true;
     out.csb.processedBytes = source.size();
     out.csb.producedBytes = framed.bytes.size();
     out.csb.checksum = framed.checksum;
@@ -126,14 +123,10 @@ SoftwareCodec::decompress(std::span<const uint8_t> stream,
     auto t0 = Clock::now();
     auto res = deflate::unwrap(framing, stream,
                                nx::checked_cast<size_t>(max_output));
-    out.csb.valid = true;
-    if (!res.ok) {
-        out.csb.cc = res.inflate.status == deflate::InflateStatus::OutputLimit
-            ? nx::CondCode::OutputOverflow : nx::CondCode::BadData;
+    out.csb.cc = nx::condCode(res);
+    if (!res.ok)
         return out;
-    }
     out.seconds = secondsSince(t0);
-    out.csb.cc = nx::CondCode::Success;
     out.csb.processedBytes = stream.size();
     out.csb.producedBytes = res.inflate.bytes.size();
     out.csb.checksum = res.checksum;

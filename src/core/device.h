@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "e842/e842.h"
 #include "nx/compress_engine.h"
 #include "nx/decompress_engine.h"
 #include "nx/nx_config.h"
@@ -52,6 +53,13 @@ struct JobResult
     }
 };
 
+/** The compress function of @p mode; Auto is FHT below
+ *  NxDevice::autoFhtThreshold() bytes, DHT from it. */
+[[nodiscard]] nx::FuncCode compressFunc(Mode mode, uint64_t source_bytes);
+
+/** nx::condCode for an 842 decode; both legs map through it. */
+[[nodiscard]] nx::CondCode condCode(e842::DecodeStatus s);
+
 /**
  * Build and execute one compress CRB on @p eng. This is the single
  * code path shared by the synchronous NxDevice API and the
@@ -84,8 +92,7 @@ class NxDevice
     /**
      * Compress @p source into a framed stream.
      *
-     * @param mode  table policy (Auto: FHT below autoFhtThreshold(),
-     *              sampled DHT otherwise)
+     * @param mode  table policy (Auto: see compressFunc)
      */
     [[nodiscard]] JobResult compress(std::span<const uint8_t> source,
                        nx::Framing framing = nx::Framing::Gzip,

@@ -22,23 +22,12 @@ runE842Job(const e842::E842Engine &eng, const JobSpec &spec)
         : eng.decompressJob(spec.payload,
                             nx::checked_cast<size_t>(spec.maxOutput));
     JobResult out;
-    out.csb.valid = true;
-    out.csb.cc = job.ok ? nx::CondCode::Success : nx::CondCode::BadData;
+    out.csb.cc = condCode(job.status);
     out.csb.processedBytes = spec.payload.size();
     out.csb.producedBytes = job.output.size();
     out.data = std::move(job.output);
     out.engineCycles = job.cycles;
     out.seconds = job.seconds;
-    return out;
-}
-
-/** A CSB-failure completion for an injected device fault. */
-JobResult
-faultedResult(nx::CondCode cc)
-{
-    JobResult out;
-    out.csb.valid = true;
-    out.csb.cc = cc;
     return out;
 }
 
@@ -159,7 +148,6 @@ JobServer::workerLoop(int w)
     for (;;) {
         Pending p;
         uint64_t dispatch = 0;
-        uint64_t crbSeq = 0;
         {
             nx::MutexLock lk(mu_);
             // Explicit predicate loop: the guarded reads stay in this
@@ -183,9 +171,7 @@ JobServer::workerLoop(int w)
             fifo_[picked].pop_front();
             rrWindow_ = (picked + 1) % nw;
             --queuedTotal_;
-            ++inFlight_;
             dispatch = dispatchSeq_++;
-            crbSeq = crbSeq_++;
         }
 
         // The fault hook models engine-reported failures (translation
@@ -197,17 +183,17 @@ JobServer::workerLoop(int w)
         nx::CondCode injectedCc = nx::CondCode::TranslationFault;
         if (jcfg_.faultInjector != nullptr &&
             jcfg_.faultInjector->shouldFail(&injectedCc)) {
-            r = faultedResult(injectedCc);
+            r.csb.cc = injectedCc;
             injected = true;
         } else if (p.spec.codec == Codec::E842) {
             r = runE842Job(e842_, p.spec);
         } else {
             r = p.spec.kind == JobKind::Compress
                 ? runCompressJob(*comp_[wi], cfg_, p.spec.payload,
-                                 p.spec.framing, p.spec.mode, crbSeq)
+                                 p.spec.framing, p.spec.mode, dispatch)
                 : runDecompressJob(*decomp_[wi], cfg_, p.spec.payload,
                                    p.spec.framing, p.spec.maxOutput,
-                                   crbSeq);
+                                   dispatch);
         }
 
         waitLatency_.record(secondsSince(p.pasteTime));
@@ -218,7 +204,6 @@ JobServer::workerLoop(int w)
             workerCycles_[wi] += r.engineCycles;
             bytesIn_ += p.spec.payload.size();
             bytesOut_ += r.data.size();
-            --inFlight_;
             ++completed_;
             if (!r.ok())
                 ++jobFaults_;

@@ -323,10 +323,9 @@ class JobServer
     int drainers_ NXSIM_GUARDED_BY(mu_) = 0;    ///< drain() calls asleep
 
     Ticket nextTicket_ NXSIM_GUARDED_BY(mu_) = 1;
+    /// Global engine-pop order; also each CRB's seq.
     uint64_t dispatchSeq_ NXSIM_GUARDED_BY(mu_) = 0;
-    uint64_t crbSeq_ NXSIM_GUARDED_BY(mu_) = 0;
     size_t queuedTotal_ NXSIM_GUARDED_BY(mu_) = 0;
-    size_t inFlight_ NXSIM_GUARDED_BY(mu_) = 0;
     /// Round-robin pop fairness cursor.
     size_t rrWindow_ NXSIM_GUARDED_BY(mu_) = 0;
     bool paused_ NXSIM_GUARDED_BY(mu_) = false;

@@ -114,7 +114,7 @@ Session::run(core::JobKind kind, std::span<const uint8_t> input)
 
     if (!toAccel || dev != DeviceOutcome::Answered) {
         int submits = res.deviceSubmits;
-        res = softwareLeg(kind, input);
+        res = softwareLeg(pol_, kind, input);
         res.deviceSubmits = submits;
         res.fellBack = toAccel;
     }
@@ -197,35 +197,30 @@ Session::deviceLeg(core::JobKind kind, std::span<const uint8_t> input,
 }
 
 SessionResult
-Session::softwareLeg(core::JobKind kind,
-                     std::span<const uint8_t> input) const
+softwareLeg(const SessionPolicy &policy, core::JobKind kind,
+            std::span<const uint8_t> input)
 {
-    SessionResult out;
-    out.backend = Backend::Software;
-    if (pol_.format == SessionFormat::E842) {
+    core::JobResult r;
+    if (policy.format == SessionFormat::E842) {
         auto t0 = Clock::now();
         if (kind == core::JobKind::Compress) {
-            auto r = e842::compress(input);
-            out.ok = true;
-            out.data = std::move(r.bytes);
+            r.data = e842::compress(input).bytes;
         } else {
-            auto r = e842::decompress(
-                input, nx::checked_cast<size_t>(pol_.maxOutputBytes));
-            out.ok = r.ok;
-            if (r.ok)
-                out.data = std::move(r.bytes);
-            else
-                out.error = r.error;
+            auto d = e842::decompress(
+                input, nx::checked_cast<size_t>(policy.maxOutputBytes));
+            r.csb.cc = core::condCode(d.status);
+            r.data = std::move(d.bytes);
         }
-        out.seconds = secondsSince(t0);
-        return out;
+        r.seconds = secondsSince(t0);
+    } else {
+        core::SoftwareCodec codec(policy.level);
+        r = kind == core::JobKind::Compress
+            ? codec.compress(input, deflateFraming(policy.format))
+            : codec.decompress(input, deflateFraming(policy.format),
+                               policy.maxOutputBytes);
     }
 
-    core::SoftwareCodec codec(pol_.level);
-    core::JobResult r = kind == core::JobKind::Compress
-        ? codec.compress(input, deflateFraming(pol_.format))
-        : codec.decompress(input, deflateFraming(pol_.format),
-                           pol_.maxOutputBytes);
+    SessionResult out;
     out.ok = r.ok();
     out.seconds = r.seconds;
     if (r.ok())

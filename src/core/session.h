@@ -158,6 +158,12 @@ struct SessionResult
     }
 };
 
+/** @p kind over @p input on the software codec of @p policy's format,
+ *  level and cap; a failure reads `software codec: <condition code>`. */
+[[nodiscard]] SessionResult softwareLeg(const SessionPolicy &policy,
+                                        core::JobKind kind,
+                                        std::span<const uint8_t> input);
+
 /** Aggregate session counters (one consistent snapshot). */
 struct SessionStats
 {
@@ -273,8 +279,6 @@ class Session
                                           std::span<const uint8_t> input,
                                           SessionResult *out)
         NXSIM_EXCLUDES(mu_);
-    [[nodiscard]] SessionResult softwareLeg(
-        core::JobKind kind, std::span<const uint8_t> input) const;
 
     // Written by the constructor/configure() before the first request,
     // immutable afterwards (contract-enforced): read without mu_.

@@ -32,13 +32,6 @@ struct SystemTopology
     ChipTopology chip;
     int chips = 1;
 
-    /** Total accelerator units in the system. */
-    int
-    totalUnits() const
-    {
-        return chips * chip.accel.unitsPerChip;
-    }
-
     /** Engine-bound aggregate compress rate (upper bound), bytes/s. */
     double
     peakSystemCompressBps() const

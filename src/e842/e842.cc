@@ -333,12 +333,12 @@ decompress(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
     while (true) {
         uint32_t op = br.readBits(5);
         if (br.overrun()) {
-            res.error = "truncated stream";
+            res.status = DecodeStatus::Corrupt;
             return res;
         }
         if (res.bytes.size() + 8 > max_output && op != kOpEnd &&
             op != kOpShortData) {
-            res.error = "output limit";
+            res.status = DecodeStatus::OutputLimit;
             return res;
         }
 
@@ -352,16 +352,16 @@ decompress(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
         }
         if (op == kOpRepeat) {
             if (!have_prev) {
-                res.error = "repeat with no previous chunk";
+                res.status = DecodeStatus::Corrupt;
                 return res;
             }
             uint32_t count = br.readBits(kRepeatBits) + 1;
             if (br.overrun()) {
-                res.error = "truncated repeat";
+                res.status = DecodeStatus::Corrupt;
                 return res;
             }
             if (res.bytes.size() + 8ull * count > max_output) {
-                res.error = "output limit";
+                res.status = DecodeStatus::OutputLimit;
                 return res;
             }
             for (uint32_t i = 0; i < count; ++i) {
@@ -373,18 +373,18 @@ decompress(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
         if (op == kOpShortData) {
             uint32_t count = br.readBits(3);
             if (count == 0) {
-                res.error = "empty short data";
+                res.status = DecodeStatus::Corrupt;
                 return res;
             }
             if (res.bytes.size() + count > max_output) {
-                res.error = "output limit";
+                res.status = DecodeStatus::OutputLimit;
                 return res;
             }
             for (uint32_t i = 0; i < count; ++i)
                 res.bytes.push_back(
                     nx::checked_cast<uint8_t>(br.readBits(8)));
             if (br.overrun()) {
-                res.error = "truncated short data";
+                res.status = DecodeStatus::Corrupt;
                 return res;
             }
             continue;
@@ -420,7 +420,7 @@ decompress(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
         } else if (op == kOpI8) {
             uint32_t idx = br.readBits(kI8Bits);
             if (rings.c8 <= idx && rings.c8 < kRing8) {
-                res.error = "I8 index beyond history";
+                res.status = DecodeStatus::Corrupt;
                 return res;
             }
             uint64_t v = rings.r8[idx];
@@ -456,15 +456,15 @@ decompress(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
                     readD16(chunk + 2 * k);
             }
         } else {
-            res.error = "reserved opcode";
+            res.status = DecodeStatus::Corrupt;
             return res;
         }
         if (br.overrun()) {
-            res.error = "truncated operands";
+            res.status = DecodeStatus::Corrupt;
             return res;
         }
         if (bad_index) {
-            res.error = "index beyond history";
+            res.status = DecodeStatus::Corrupt;
             return res;
         }
         emitChunk();

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "util/taint.h"
@@ -56,11 +55,19 @@ struct E842Result
 /** Compress @p input into an 842-class stream. */
 [[nodiscard]] E842Result compress(std::span<const uint8_t> input);
 
+/** Why a decode stopped: the output cap, or a corrupt stream. */
+enum class DecodeStatus : uint8_t
+{
+    Ok,
+    Corrupt,       ///< truncated or malformed
+    OutputLimit,   ///< the output would pass max_output
+};
+
 /** Decompression outcome. */
 struct E842DecompressResult
 {
     bool ok = false;
-    std::string error;
+    DecodeStatus status = DecodeStatus::Ok;
     std::vector<uint8_t> bytes;
 };
 

@@ -21,6 +21,7 @@ E842Engine::decompressJob(std::span<const uint8_t> stream,
 {
     E842Job job;
     auto res = decompress(stream, max_output);
+    job.status = res.status;
     if (!res.ok)
         return job;
     job.cycles = streamCycles(res.bytes.size(), stream.size());

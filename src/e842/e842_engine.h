@@ -27,6 +27,7 @@ namespace e842 {
 struct E842Job
 {
     bool ok = false;
+    DecodeStatus status = DecodeStatus::Ok;   ///< why a decompress failed
     std::vector<uint8_t> output;
     sim::Tick cycles = 0;
     double seconds = 0.0;

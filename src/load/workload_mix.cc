@@ -1,7 +1,5 @@
 #include "load/workload_mix.h"
 
-#include "core/device.h"
-#include "e842/e842.h"
 #include "util/checked.h"
 #include "util/contracts.h"
 #include "workloads/corpus.h"
@@ -34,11 +32,10 @@ std::vector<uint8_t>
 compressFor(nx::SessionFormat format,
             const std::vector<uint8_t> &source)
 {
-    if (format == nx::SessionFormat::E842)
-        return e842::compress(source).bytes;
-    core::SoftwareCodec codec(6);
-    auto r = codec.compress(source, nx::deflateFraming(format));
-    NXSIM_ENSURE(r.ok(), "mix preparation: software compress failed");
+    nx::SessionPolicy pol;
+    pol.format = format;
+    auto r = nx::softwareLeg(pol, core::JobKind::Compress, source);
+    NXSIM_ENSURE(r.ok, "mix preparation: software compress failed");
     return std::move(r.data);
 }
 

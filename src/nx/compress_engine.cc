@@ -22,7 +22,6 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
     CondCode cc = validateCrb(crb);
     if (cc != CondCode::Success || crb.func == FuncCode::Decompress) {
         job.csb.cc = cc != CondCode::Success ? cc : CondCode::BadCrb;
-        job.csb.valid = true;
         return job;
     }
 
@@ -66,7 +65,6 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
 
     if (framed.bytes.size() > crb.target.totalBytes()) {
         job.csb.cc = CondCode::OutputOverflow;
-        job.csb.valid = true;
         job.csb.processedBytes = 0;
         job.csb.producedBytes = 0;
         return job;
@@ -75,7 +73,6 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
     job.timing.dmaOut = dmaOut_.transferCycles(framed.bytes.size());
 
     job.csb.cc = CondCode::Success;
-    job.csb.valid = true;
     job.csb.processedBytes = source.size();
     job.csb.producedBytes = framed.bytes.size();
     job.output = std::move(framed.bytes);

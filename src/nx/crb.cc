@@ -1,5 +1,7 @@
 #include "nx/crb.h"
 
+#include "util/checked.h"
+
 namespace nx {
 
 const char *
@@ -37,12 +39,25 @@ validateCrb(const Crb &crb)
 {
     if (crb.target.entries.empty())
         return CondCode::BadCrb;
-    if (crb.source.totalBytes() < crb.sourceOffset)
-        return CondCode::BadCrb;
     for (const Dde &d : crb.source.entries)
         if (d.length == 0 && crb.source.entries.size() > 1)
             return CondCode::BadCrb;
     return CondCode::Success;
+}
+
+Crb
+compressCrb(FuncCode func, Framing framing, uint64_t source_bytes,
+            uint64_t seq)
+{
+    Crb crb;
+    crb.func = func;
+    crb.framing = framing;
+    crb.source = DdeList::direct(0x1000, checked_cast<uint32_t>(
+        source_bytes));
+    crb.target = DdeList::direct(0x2000000, checked_cast<uint32_t>(
+        source_bytes + source_bytes / 7 + 1024));
+    crb.seq = seq;
+    return crb;
 }
 
 } // namespace nx

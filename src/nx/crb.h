@@ -7,10 +7,10 @@
  * decompress, gzip/zlib/raw framing, fixed or dynamic Huffman), source
  * and target buffers as scatter/gather lists (DDEs), then issues it to
  * the accelerator with a "paste" to its VAS window. Completion is
- * signalled by the engine writing the CSB, including a condition code;
- * page faults surface as CC=translation-fault with the faulting address
- * and a count of bytes already processed, and software resubmits the
- * CRB for the remainder (see PageFaultModel).
+ * signalled by the engine writing the CSB, including a condition code.
+ * Every compress CRB comes from compressCrb(). A job that faults is
+ * resubmitted whole; PageFaultModel (E10) models the hardware's
+ * resume-from-remainder protocol analytically.
  */
 
 #ifndef NXSIM_NX_CRB_H
@@ -41,10 +41,10 @@ using deflate::Framing;
 enum class CondCode : uint8_t
 {
     Success = 0,
-    TranslationFault = 5,    ///< page fault at csb.faultAddress
+    TranslationFault = 5,    ///< page fault; software resubmits
     OutputOverflow = 13,     ///< target DDE exhausted
     BadCrb = 17,             ///< malformed request
-    BadData = 21,            ///< invalid DEFLATE stream (decompress)
+    BadData = 21,            ///< invalid stream (decompress)
 };
 
 /** Human-readable condition code name. */
@@ -79,12 +79,6 @@ struct Crb
     DdeList source;
     DdeList target;
 
-    /**
-     * Resume state for fault resubmission: bytes of source already
-     * consumed by a prior partial execution.
-     */
-    uint64_t sourceOffset = 0;
-
     /** Sequence number assigned at paste time (debug/tracing). */
     uint64_t seq = 0;
 };
@@ -93,15 +87,21 @@ struct Crb
 struct Csb
 {
     CondCode cc = CondCode::Success;
-    bool valid = false;              ///< engine sets when CSB is written
     uint64_t processedBytes = 0;     ///< source bytes consumed
     uint64_t producedBytes = 0;      ///< target bytes written
-    uint64_t faultAddress = 0;       ///< valid when cc == TranslationFault
     uint32_t checksum = 0;           ///< CRC-32 (gzip) or Adler-32 (zlib)
 };
 
 /** Validate a CRB the way the hardware's front-end decoder would. */
 [[nodiscard]] CondCode validateCrb(const Crb &crb);
+
+/**
+ * The one compress CRB builder. The target DDE holds FHT's worst case:
+ * 9-bit literals grow incompressible data by up to 12.5 % plus framing,
+ * and the engine has no stored-block fallback.
+ */
+[[nodiscard]] Crb compressCrb(FuncCode func, Framing framing,
+                              uint64_t source_bytes, uint64_t seq = 0);
 
 } // namespace nx
 

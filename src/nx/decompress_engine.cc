@@ -5,6 +5,15 @@
 
 namespace nx {
 
+CondCode
+condCode(const deflate::UnwrapResult &res)
+{
+    if (res.ok)
+        return CondCode::Success;
+    return res.inflate.status == deflate::InflateStatus::OutputLimit
+        ? CondCode::OutputOverflow : CondCode::BadData;
+}
+
 DecompressEngine::DecompressEngine(const NxConfig &cfg)
     : cfg_(cfg), dmaIn_(cfg.dmaIn), dmaOut_(cfg.dmaOut)
 {
@@ -18,7 +27,6 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     CondCode cc = validateCrb(crb);
     if (cc != CondCode::Success || crb.func != FuncCode::Decompress) {
         job.csb.cc = cc != CondCode::Success ? cc : CondCode::BadCrb;
-        job.csb.valid = true;
         return job;
     }
 
@@ -30,12 +38,9 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     // fit stops at the cap instead of being decoded in full first.
     const auto cap = nx::checked_cast<size_t>(crb.target.totalBytes());
     auto res = deflate::unwrap(crb.framing, source, cap);
-    if (!res.ok) {
-        job.csb.cc = res.inflate.status == deflate::InflateStatus::OutputLimit
-            ? CondCode::OutputOverflow : CondCode::BadData;
-        job.csb.valid = true;
+    job.csb.cc = condCode(res);
+    if (!res.ok)
         return job;
-    }
 
     // Timing from the decoded stream's statistics.
     const auto &st = res.inflate.stats;
@@ -49,8 +54,6 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     job.timing.tableLoads = (st.dynamicBlocks * 2) * 512;
     job.timing.dmaOut = dmaOut_.transferCycles(produced);
 
-    job.csb.cc = CondCode::Success;
-    job.csb.valid = true;
     job.csb.processedBytes = source.size();
     job.csb.producedBytes = produced;
     job.csb.checksum = res.checksum;

@@ -56,6 +56,12 @@ struct DecompressJobResult
     DecompressTiming timing;
 };
 
+/**
+ * The condition code of a framed-stream read: OutputOverflow past the
+ * cap, BadData for any other failure. Both legs map through it.
+ */
+[[nodiscard]] CondCode condCode(const deflate::UnwrapResult &res);
+
 /** A single decompression engine instance. */
 class DecompressEngine
 {

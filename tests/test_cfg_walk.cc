@@ -130,6 +130,22 @@ TEST(CfgWalk, LoopBodiesAreWalkedTwice)
     EXPECT_EQ(w.heads, (std::vector<std::string>{"c"}));
 }
 
+TEST(CfgWalk, LoopHeadRunsAgainOnEachBackEdge)
+{
+    // A while head whole; a for head past its init; a range-for head
+    // once; a do-while head once, after the body.
+    using Heads = std::vector<std::string>;
+    EXPECT_EQ(walk("while (c) B();").heads, (Heads{"c", "c", "c"}));
+    EXPECT_EQ(walk("for (i = 0; i < n; ++i) B();").heads,
+              (Heads{"i=0;i<n;++i", "i<n;++i", "i<n;++i"}));
+    EXPECT_EQ(walk("for (x : xs) B();").heads, (Heads{"x:xs"}));
+    EXPECT_EQ(walk("do B(); while (c);").heads, (Heads{"c"}));
+    // A continue reaches the back edge; a pass that breaks does not.
+    EXPECT_EQ(walk("while (c) { continue; }").heads,
+              (Heads{"c", "c", "c"}));
+    EXPECT_EQ(walk("while (c) { break; }").heads, (Heads{"c"}));
+}
+
 TEST(CfgWalk, CodeAfterReturnOrBreakIsDead)
 {
     Walked w = walk("A(); return; B();");

@@ -76,6 +76,19 @@ TEST(NxDevice, AutoModePicksFhtForSmallJobs)
     EXPECT_EQ((cb.data[0] >> 1) & 0x3, 2);    // dynamic
 }
 
+TEST(NxDevice, CompressFuncDecidesAutoAtTheThreshold)
+{
+    const uint64_t t = NxDevice::autoFhtThreshold();
+    EXPECT_EQ(core::compressFunc(Mode::Auto, t - 1),
+              nx::FuncCode::CompressFht);
+    EXPECT_EQ(core::compressFunc(Mode::Auto, t), nx::FuncCode::CompressDht);
+    EXPECT_EQ(core::compressFunc(Mode::Fht, t), nx::FuncCode::CompressFht);
+    EXPECT_EQ(core::compressFunc(Mode::DhtSampled, 1),
+              nx::FuncCode::CompressDht);
+    EXPECT_EQ(core::compressFunc(Mode::DhtTwoPass, 1),
+              nx::FuncCode::CompressDht);
+}
+
 TEST(NxDevice, ReportsModelledSeconds)
 {
     NxDevice dev(nx::NxConfig::power9());

@@ -23,7 +23,8 @@ roundTrip(const std::vector<uint8_t> &input, const char *what)
 {
     auto c = compress(input);
     auto d = decompress(c.bytes);
-    ASSERT_TRUE(d.ok) << what << ": " << d.error;
+    ASSERT_TRUE(d.ok) << what << ": status "
+                      << static_cast<int>(d.status);
     EXPECT_EQ(d.bytes, input) << what;
 }
 

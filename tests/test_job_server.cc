@@ -35,6 +35,7 @@
 
 #include "core/job_server.h"
 #include "deflate/gzip_stream.h"
+#include "e842/e842.h"
 #include "util/prng.h"
 #include "workloads/corpus.h"
 
@@ -528,6 +529,44 @@ TEST(JobServerE842, AsyncJobsMatchTheDirectEngine)
     auto st = srv.stats();
     EXPECT_EQ(st.completed, 2u);
     EXPECT_EQ(st.jobFaults, 0u);
+}
+
+TEST(JobServerE842, OverflowAndCorruptStreamsHaveTheirOwnCodes)
+{
+    // An 842 stream past maxOutput is the cap's doing (OutputOverflow,
+    // which the session falls back on); a corrupt one is the stream's
+    // (BadData), as for DEFLATE.
+    JobServerConfig jcfg;
+    jcfg.workers = 1;
+    JobServer srv(testChip(), jcfg);
+    auto payload = workloads::makeText(16 * 1024, 10);
+    auto stream = e842::compress(payload).bytes;
+    auto corrupt = stream;
+    corrupt.resize(corrupt.size() / 2);
+
+    struct Case
+    {
+        std::vector<uint8_t> stream;
+        uint64_t maxOutput;
+        nx::CondCode want;
+    };
+    for (const Case &c : {Case{stream, 4 * 1024, nx::CondCode::OutputOverflow},
+                          Case{corrupt, uint64_t{1} << 30,
+                               nx::CondCode::BadData}}) {
+        SCOPED_TRACE(nx::toString(c.want));
+        JobSpec spec;
+        spec.kind = JobKind::Decompress;
+        spec.codec = core::Codec::E842;
+        spec.maxOutput = c.maxOutput;
+        spec.payload = c.stream;
+        auto r = srv.submitAsync(std::move(spec));
+        ASSERT_TRUE(r.accepted());
+        auto job = srv.wait(r.ticket);
+        EXPECT_EQ(job.result.csb.cc, c.want);
+        EXPECT_TRUE(job.result.data.empty());
+    }
+    srv.drainAndStop();
+    EXPECT_EQ(srv.stats().jobFaults, 2u);
 }
 
 TEST(JobServerStats, RecordsDepthLatencyAndEngineCycles)

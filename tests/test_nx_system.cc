@@ -37,15 +37,6 @@ TEST(Crb, ValidationCatchesMissingTarget)
     EXPECT_EQ(validateCrb(crb), CondCode::Success);
 }
 
-TEST(Crb, ValidationCatchesBadOffset)
-{
-    Crb crb;
-    crb.source = DdeList::direct(0x1000, 10);
-    crb.target = DdeList::direct(0x2000, 10);
-    crb.sourceOffset = 11;
-    EXPECT_EQ(validateCrb(crb), CondCode::BadCrb);
-}
-
 TEST(CondCode, Names)
 {
     EXPECT_STREQ(toString(CondCode::Success), "Success");

@@ -267,6 +267,20 @@ TEST(NxlintNodiscard, AttributedDeclarationsAreClean)
     EXPECT_FALSE(fired(fs, "nodiscard-status"));
 }
 
+TEST(NxlintNodiscard, QualifiedStatusTypeIsReadWithItsQualifiers)
+{
+    auto fs = lintFile("src/nx/a.h",
+                       "#ifndef NXSIM_NX_A_H\n#define NXSIM_NX_A_H\n"
+                       "[[nodiscard]] nx::CondCode map(int s);\n"
+                       "[[nodiscard]] ::a::b::JobResult run();\n"
+                       "nx::CondCode unmarked(int s);\n"
+                       "#endif\n");
+    auto rs = rulesOf(fs);
+    EXPECT_EQ(std::count(rs.begin(), rs.end(),
+                         std::string("nodiscard-status")),
+              1);
+}
+
 TEST(NxlintNodiscard, ParametersAndSourceFilesAreClean)
 {
     auto header = lintFile("src/nx/a.h",

@@ -433,6 +433,42 @@ TEST(NxtaintFlow, ReadAtTheEndOfAnIterationIsFlaggedAtTheTopOfTheNext)
         << fs[0].message;
 }
 
+TEST(NxtaintFlow, LoopHeadComparesTheReReadValueOnTheBackEdge)
+{
+    // The head runs again before the second pass: it compares the
+    // re-read n (a loop bound) and so checks it before the store.
+    auto fs = analyzeFile(
+        "src/deflate/x.cc",
+        "void f(util::BitReader &br, uint8_t *buf) {\n"
+        "    unsigned n = 0;\n"
+        "    while (n < 16) {\n"
+        "        buf[n] = 0;\n"
+        "        n = br.readBits(8);\n"
+        "    }\n"
+        "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "taint-loop-bound");
+    EXPECT_EQ(fs[0].line, 3);
+    EXPECT_FALSE(fired(fs, "taint-index")) << dump(fs);
+}
+
+TEST(NxtaintFlow, ForUpdateRunsOnTheBackEdgeBeforeTheTest)
+{
+    // The first pass stores at i = 0; the back edge adds the read, then
+    // `i < 16` compares the tainted i (a loop bound) and checks it
+    // before the second pass stores.
+    auto fs = analyzeFile(
+        "src/deflate/x.cc",
+        "void f(util::BitReader &br, uint8_t *buf) {\n"
+        "    unsigned i;\n"
+        "    for (i = 0; i < 16; i += br.readBits(2))\n"
+        "        buf[i] = 0;\n"
+        "}\n");
+    ASSERT_EQ(fs.size(), 1u) << dump(fs);
+    EXPECT_EQ(fs[0].rule, "taint-loop-bound");
+    EXPECT_EQ(fs[0].line, 3);
+}
+
 TEST(NxtaintFlow, InlineLambdaKeepsItsCheckThenIndexReading)
 {
     // e842::decompress's readI2/readI4 shape: read, check, index — all

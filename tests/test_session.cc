@@ -520,8 +520,7 @@ TEST(SessionOutputCap, OneByteOverTheCapFailsOnBothRoutes)
     constexpr uint64_t kCap = 5000;
     const auto atCap = workloads::makeText(kCap, 22);
     const auto overCap = workloads::makeText(kCap + 1, 22);
-    for (SessionFormat f : {SessionFormat::Gzip, SessionFormat::Zlib,
-                            SessionFormat::RawDeflate}) {
+    for (SessionFormat f : kFormats) {
         for (bool software : {false, true}) {
             SCOPED_TRACE(testing::Message() << toString(f)
                          << (software ? " forceSoftware" : " device"));
@@ -545,6 +544,10 @@ TEST(SessionOutputCap, OneByteOverTheCapFailsOnBothRoutes)
             // The device reports the overflow; the software leg then
             // refuses under the same cap.
             EXPECT_EQ(over.fellBack, !software);
+            EXPECT_EQ(over.error, "software codec: OutputOverflow");
+            auto st = sess.stats();
+            EXPECT_EQ(st.deviceFaults, software ? 0u : 1u);
+            EXPECT_EQ(st.fallbacks, software ? 0u : 1u);
             sess.close();
         }
     }

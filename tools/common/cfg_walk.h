@@ -22,9 +22,11 @@
  *   - Loop bodies run twice, the second pass entered with the first
  *     pass's back-edge state (its end joined with every `continue`):
  *     that is what catches a once-only call repeated across iterations.
- *     The state after a loop joins both passes' back edges and every
- *     `break`; `for`/`while` join the entry state too (the body may not
- *     run), `do` does not.
+ *     Each back edge runs a `for`/`while` head again: a `while` head
+ *     whole, a `for` head as `test; update` (after its first `;`: the
+ *     init runs once), a range-`for` head not at all. The state after a
+ *     loop joins both passes' back edges and every `break`; `for`/`while`
+ *     join the entry state too (the body may not run), `do` does not.
  *   - `switch` enters every case from the head's state; fall-through
  *     joins in the previous case's state. The state after it joins every
  *     `break`, the end of the last case, and the head's state when there
@@ -106,9 +108,12 @@ class CfgWalk
             if (!isPunct(t_, i + 1, "("))
                 return i + 1;
             size_t pc = head(i + 1, e, st);
+            size_t again = i + 2;   // what each back edge runs again
+            if (t_[i].text == "for")
+                again = std::min(findSemi(t_, i + 2, pc) + 1, pc);
             State after = st;
             bool noneLeaves = false;
-            size_t k = loop(pc + 1, e, after, noneLeaves);
+            size_t k = loop(pc + 1, e, after, noneLeaves, again, pc);
             if (!noneLeaves)
                 st = a_.join(st, after);
             return k;
@@ -207,12 +212,14 @@ class CfgWalk
     }
 
     /** Run the loop body at @p i twice, the second pass entered from
-     * the first's back edge. @p st enters as the state before the body
-     * and leaves as the join of every state that leaves the loop: both
-     * back edges and every break; @p ended when none does. Returns the
-     * index past the body. */
+     * the first's back edge, each back edge running [@p hb, @p he) of
+     * the head. @p st enters as the state before the body and leaves as
+     * the join of every state that leaves the loop: both back edges and
+     * every break; @p ended when none does. Returns the index past the
+     * body. */
     size_t
-    loop(size_t i, size_t e, State &st, bool &ended)
+    loop(size_t i, size_t e, State &st, bool &ended, size_t hb = 0,
+         size_t he = 0)
     {
         breaks_.emplace_back();
         std::optional<State> out;
@@ -226,6 +233,8 @@ class CfgWalk
                 into(continues_.back(), *pass);
             pass = std::move(continues_.back());   // the back edge
             continues_.pop_back();
+            if (pass && hb < he)
+                a_.condition(hb, he, *pass);
             if (pass)
                 into(out, *pass);
         }

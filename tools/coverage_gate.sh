@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # Line-coverage gate (the ci.sh coverage stage) for the files listed in
 # tools/coverage_baseline.txt: the session layer, the JobServer
-# dispatch layer, the DEFLATE decoder and encoder, the encoder's match
-# finder and Huffman builder, the gzip and zlib containers, and the
-# accelerator model's match pipeline and hash table.
+# dispatch layer, the engine-job runners (src/core/device.cc), the 842
+# codec (src/e842/e842.cc), the DEFLATE decoder and encoder, the
+# encoder's match finder and Huffman builder, the gzip and zlib
+# containers, and the accelerator model's match pipeline and hash
+# table.
 #
 # Expects a build tree configured with the `coverage` preset
 # (NXSIM_COVERAGE=ON) in which the `session`-, `load`-, `codec`-,

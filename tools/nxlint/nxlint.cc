@@ -480,10 +480,16 @@ checkNodiscard(const std::vector<Token> &toks, const Scope &sc,
             continue;
         if (!isPunct(toks, nextSig(toks, name), '('))
             continue;
-        // Scan the declaration prefix backwards for [[nodiscard]].
+        // Scan the declaration prefix backwards for [[nodiscard]],
+        // past the qualifiers of a qualified type (`nx::CondCode`).
         bool nodiscard = false;
         bool declaration = true;
         size_t p = prevSig(toks, i);
+        while (isPunct(toks, p, ':') && isPunct(toks, prevSig(toks, p), ':')) {
+            p = prevSig(toks, prevSig(toks, p));
+            if (p != static_cast<size_t>(-1) && toks[p].kind == Tok::Ident)
+                p = prevSig(toks, p);
+        }
         while (p != static_cast<size_t>(-1)) {
             const Token &t = toks[p];
             if (t.kind == Tok::Pp) {

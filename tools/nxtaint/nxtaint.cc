@@ -253,12 +253,13 @@ class Analyzer
     }
 
     /** A control head; the keyword before its `(` picks the rule
-     * (`if constexpr` reads as an if, a do-while's head as a while). */
+     * (`if constexpr` reads as an if, a do-while's head as a while; a
+     * `;` before it is a for head on its back edge). */
     void
     condition(size_t b, size_t e, TaintState &st)
     {
         const std::string &kw = t_[b - 2].text;
-        if (kw == "for")
+        if (kw == "for" || isPunct(t_, b - 1, ";"))
             forHead(b, e, st);
         else
             handleCond(b, e, /*loop=*/kw == "while",
@@ -384,22 +385,25 @@ class Analyzer
         return j < e && isPunct(t_, j, "{") ? j : e;
     }
 
-    /** `for` heads split into init/cond/update; a range-for has no
-     * condition clause. */
+    /** A `for` head: at entry `init; test; update` runs the init, then
+     * the test; on a back edge `test; update` runs the update, then the
+     * test. A range-for head has no test and runs as one statement. */
     void
     forHead(size_t b, size_t e, TaintState &st)
     {
-        auto semi = [&](size_t i) { return isPunct(t_, i, ";"); };
-        size_t s1 = findTopLevel(t_, b, e, semi);
+        size_t s1 = nxcommon::findSemi(t_, b, e);
         if (s1 == e) {
             statement(b, e, st);
             return;
         }
-        size_t s2 = findTopLevel(t_, s1 + 1, e, semi);
+        if (isPunct(t_, b - 1, ";")) {
+            statement(s1 + 1, e, st);
+            handleCond(b, s1, /*loop=*/true, /*isSwitch=*/false, st);
+            return;
+        }
         statement(b, s1, st);
-        handleCond(s1 + 1, s2, /*loop=*/true, /*isSwitch=*/false, st);
-        if (s2 != e)
-            statement(s2 + 1, e, st);
+        handleCond(s1 + 1, nxcommon::findSemi(t_, s1 + 1, e), /*loop=*/true,
+                   /*isSwitch=*/false, st);
     }
 
     /** Loop conditions are loop-bound sinks before they sanitize;

@@ -12,24 +12,23 @@
  * model and print the modelled device time, smaller ones and `-m sw`
  * run on the software codec.
  *
- * `-j N` routes a compress through core::JobServer with N engine
- * workers: the input is split into ~1 MiB chunks, each chunk
- * dispatched asynchronously to the pool, and the members reassembled
- * in paste order — the pigz shape. gunzip accepts the resulting
- * multi-member concatenation. `-d -j N` reads like `-d`: a gzip file
- * has no index of its members, so finding where each one ends means
- * inflating the file, which is the whole job.
+ * `-j N` compresses 1 MiB chunks on N engines through one Session and
+ * writes the members in input order — the pigz shape. gunzip accepts
+ * the resulting multi-member concatenation. `-d -j N` reads like `-d`:
+ * a gzip file has no index of its members, so finding where each one
+ * ends means inflating the file, which is the whole job.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/job_server.h"
 #include "core/session.h"
 #include "core/topology.h"
 #include "util/checked.h"
@@ -67,66 +66,57 @@ usage()
 }
 
 /**
- * The -j compress path: chunk the input, paste every chunk into the
- * JobServer's windows with the RC-busy retry loop, reassemble the
- * members in paste order, and report the modelled parallel time
- * (busiest engine) plus the backpressure the run generated.
+ * The -j compress path: up to @p workers client threads compress the
+ * chunks through one Session over a JobServer of @p workers engines,
+ * and the members are written in input order. Reports the modelled
+ * parallel time (busiest engine) plus the backpressure of the run.
  */
 int
-runParallel(int workers, const core::ChipTopology &topo, core::Mode mode,
-            const std::vector<uint8_t> &input, const std::string &outPath)
+runParallel(int workers, const core::ChipTopology &topo,
+            nx::SessionPolicy pol, const std::vector<uint8_t> &input,
+            const std::string &outPath)
 {
-    std::vector<core::JobSpec> specs;
+    std::vector<std::span<const uint8_t>> chunks;
     const size_t kChunk = size_t{1} << 20;
     size_t off = 0;
     do {    // do/while so empty input still emits one member
         size_t n = std::min(kChunk, input.size() - off);
-        core::JobSpec s;
-        s.kind = core::JobKind::Compress;
-        s.mode = mode;
-        s.payload.assign(input.begin() +
-                             nx::checked_cast<std::ptrdiff_t>(off),
-                         input.begin() +
-                             nx::checked_cast<std::ptrdiff_t>(off + n));
-        specs.push_back(std::move(s));
+        chunks.push_back(std::span<const uint8_t>(input).subspan(off, n));
         off += n;
     } while (off < input.size());
 
     core::JobServerConfig jcfg;
     jcfg.workers = workers;
     core::JobServer srv(topo.accel, jcfg);
+    pol.accelThresholdBytes = 0;          // every chunk on the engine
+    pol.backoff.maxAttempts = 1 << 20;    // a CLI run never gives up
+    nx::Session sess(srv, pol);
 
-    core::BackoffPolicy patient;    // a CLI run never gives up
-    patient.maxAttempts = 1 << 20;
-    std::vector<core::Ticket> tickets;
-    for (size_t i = 0; i < specs.size(); ++i) {
-        auto r = srv.submitWithRetry(
-            specs[i],
-            nx::checked_cast<int>(
-                i % nx::checked_cast<size_t>(srv.windowCount())),
-            patient);
-        if (!r.accepted()) {
-            std::fprintf(stderr, "nxzip: submit rejected (%s)\n",
-                         nx::toString(r.status));
-            return 1;
-        }
-        tickets.push_back(r.ticket);
-    }
+    std::vector<nx::SessionResult> members(chunks.size());
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> clients;
+    const size_t nClients =
+        std::min(chunks.size(), nx::checked_cast<size_t>(workers));
+    for (size_t c = 0; c < nClients; ++c)
+        clients.emplace_back([&] {
+            for (size_t i = next++; i < chunks.size(); i = next++)
+                members[i] = sess.compress(chunks[i]);
+        });
+    for (auto &t : clients)
+        t.join();
 
     std::vector<uint8_t> out;
-    for (size_t i = 0; i < tickets.size(); ++i) {
-        auto job = srv.wait(tickets[i]);
-        if (!job.result.ok()) {
+    for (size_t i = 0; i < members.size(); ++i) {
+        if (!members[i].ok) {
             std::fprintf(stderr, "nxzip: chunk %zu failed (%s)\n", i,
-                         nx::toString(job.result.csb.cc));
+                         members[i].error.c_str());
             return 1;
         }
-        out.insert(out.end(), job.result.data.begin(),
-                   job.result.data.end());
+        out.insert(out.end(), members[i].data.begin(),
+                   members[i].data.end());
     }
 
     auto st = srv.stats();
-    srv.drainAndStop();
     if (!writeFile(outPath, out)) {
         std::fprintf(stderr, "nxzip: cannot write %s\n", outPath.c_str());
         return 1;
@@ -135,7 +125,7 @@ runParallel(int workers, const core::ChipTopology &topo, core::Mode mode,
     std::fprintf(stderr,
         "nxzip: compressed %zu -> %zu bytes (parallel x%d, %zu jobs, "
         "%llu busy-rejects, %s modelled, %.1f us)\n",
-        input.size(), out.size(), srv.workerCount(), specs.size(),
+        input.size(), out.size(), srv.workerCount(), chunks.size(),
         static_cast<unsigned long long>(st.busyRejects),
         util::Table::fmtRate(seconds > 0
             ? static_cast<double>(input.size()) / seconds
@@ -218,7 +208,7 @@ main(int argc, char **argv)
             return usage();
         }
         if (!decompress)
-            return runParallel(jobs, topo, pol.mode, input, files[1]);
+            return runParallel(jobs, topo, pol, input, files[1]);
     }
 
     nx::Session sess(topo.accel, pol);
